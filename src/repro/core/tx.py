@@ -45,16 +45,13 @@ class TxEngine:
         san = _sanitizer_active()
         sw_fallback = False
         if seq != ctx.expected_seq:
-            with allow_rewind(ctx):
-                outcome = self._recover(ctx, conn, seq, sq.add(seq, len(payload)))
-            if outcome == "stale":
-                # Stale retransmission of fully-acknowledged bytes whose
-                # message state the L5P already released: the receiver
-                # will discard it as a duplicate, so content is moot.
+            state, seq, prefix, payload = self._msgstate(ctx, conn, seq, prefix, payload)
+            if state is None:
                 ctx.pkts_bypassed += 1
-                pkt.payload = prefix + b"\x00" * len(payload)
+                pkt.payload = prefix
                 return
-            sw_fallback = outcome == "sw-fallback"
+            with allow_rewind(ctx):
+                sw_fallback = self._recover(ctx, conn, seq, state)
             if san is not None:
                 san.tx_recovered(ctx, seq)
         result = walk(ctx, payload, emit=True)
@@ -105,18 +102,11 @@ class TxEngine:
         if seq != ctx.expected_seq:
             # Host-side reposition from the L5P's message state: the
             # shadow walks the prefix itself (no device to DMA into).
-            if ctx.l5p_ops is None:
-                raise ProtocolError("TX context has no L5P ops for recovery")
-            state = ctx.l5p_ops.l5o_get_tx_msgstate(seq)
+            state, seq, prefix, payload = self._msgstate(ctx, conn, seq, prefix, payload)
             if state is None:
-                if conn is not None and sq.le(sq.add(seq, len(payload)), conn.snd_una):
-                    ctx.pkts_bypassed += 1
-                    pkt.payload = prefix + b"\x00" * len(payload)
-                    return
-                raise ProtocolError(
-                    f"{ctx.adapter.name}: L5P has no message state covering "
-                    f"seq {seq} (released too early?)"
-                )
+                ctx.pkts_bypassed += 1
+                pkt.payload = prefix
+                return
             offset = sq.sub(seq, state.start_seq)
             with allow_rewind(ctx):
                 ctx.reset_to_header()
@@ -143,25 +133,47 @@ class TxEngine:
             core.charge(host.model.cycles_crypto_setup + len(payload) * cpb, "crypto")
 
     # ------------------------------------------------------------------
-    def _recover(self, ctx: HwContext, conn, tcpsn: int, end_seq: int) -> str:
-        """Reposition the context at ``tcpsn`` (driver-led, §4.2).
+    def _msgstate(self, ctx: HwContext, conn, seq: int, prefix: bytes, payload: bytes):
+        """Ask the L5P for the message covering ``seq`` (the
+        ``l5o_get_tx_msgstate`` upcall); returns ``(state, seq, prefix,
+        payload)`` with any stale head of the segment moved, zero-filled,
+        from ``payload`` onto the pass-through ``prefix``.
 
-        Returns ``"recovered"`` on the normal PCIe re-read path,
-        ``"stale"`` for a retransmission of fully-acknowledged bytes
-        whose message state the L5P already released (the ACK raced a
-        queued retransmission — the packet can never be consumed), or
-        ``"sw-fallback"`` when an injected PCIe read failure forces the
-        packet through the host's software data path."""
-        if ctx.l5p_ops is None:
+        A retransmission queued before an ACK arrived can reach the NIC
+        after the L5P released the acknowledged messages.  Its bytes
+        below ``conn.snd_una`` can never be consumed (the receiver trims
+        them as duplicates), so content is moot: they are zero-filled
+        and recovery starts at ``snd_una``, whose message is still live.
+        ``state`` is None when the whole segment is stale.  Nothing is
+        cut while the L5P still holds the message at ``seq``."""
+        ops = ctx.l5p_ops
+        if ops is None:
             raise ProtocolError("TX context has no L5P ops for recovery")
-        state = ctx.l5p_ops.l5o_get_tx_msgstate(tcpsn)
-        if state is None:
-            if conn is not None and sq.le(end_seq, conn.snd_una):
-                return "stale"
-            raise ProtocolError(
-                f"{ctx.adapter.name}: L5P has no message state covering "
-                f"seq {tcpsn} (released too early?)"
-            )
+        state = ops.l5o_get_tx_msgstate(seq)
+        if state is not None:
+            return state, seq, prefix, payload
+        stale = min(sq.sub(conn.snd_una, seq), len(payload)) if conn is not None else 0
+        if stale > 0:
+            seq = sq.add(seq, stale)
+            prefix += b"\x00" * stale
+            payload = payload[stale:]
+            if not payload:
+                return None, seq, prefix, payload
+            state = ops.l5o_get_tx_msgstate(seq)
+            if state is not None:
+                return state, seq, prefix, payload
+        raise ProtocolError(
+            f"{ctx.adapter.name}: L5P has no message state covering "
+            f"seq {seq} (released too early?)"
+        )
+
+    def _recover(self, ctx: HwContext, conn, tcpsn: int, state) -> bool:
+        """Reposition the context at ``tcpsn`` inside the message
+        ``state`` describes (driver-led, §4.2).
+
+        Returns False on the normal PCIe re-read path, True when an
+        injected PCIe read failure forces the packet through the host's
+        software data path."""
         offset = sq.sub(tcpsn, state.start_seq)
         if offset < 0 or offset > len(state.wire_bytes):
             raise ProtocolError(
@@ -207,7 +219,7 @@ class TxEngine:
                 core = host.core_for_flow(conn.flow)
                 cpb = ctx.adapter.software_cpb(host.model)
                 core.charge(host.model.cycles_syscall + offset * cpb, "crypto")
-            return "sw-fallback"
+            return True
         # The driver passes the replayed bytes to the NIC via DMA; the
         # driver-side upcall work is charged to the flow's core.
         ctx.tx_recoveries += 1
@@ -223,4 +235,4 @@ class TxEngine:
         if host is not None:
             core = host.core_for_flow(conn.flow)
             core.charge(host.model.cycles_syscall, "offload-mgmt")
-        return "recovered"
+        return False

@@ -47,6 +47,7 @@ exercise the worker path itself.
 from __future__ import annotations
 
 import atexit
+import gc
 import logging
 import multiprocessing
 import os
@@ -153,6 +154,16 @@ def _call_point(task: tuple) -> tuple:
         return index, "ok", runner(point)
     except BaseException:  # noqa: B036 - a crashing point must not kill the pool
         return index, "err", traceback.format_exc()
+    finally:
+        # A finished testbed is one big reference cycle (hosts <->
+        # connections <-> timers) holding every payload it buffered, and
+        # the generational collector does not reach it before the next
+        # point has built its own: without this a process grows by one
+        # testbed per point it runs.  Only a point that promoted objects
+        # into the oldest generation pays for the full collection, so a
+        # grid of trivial points runs at the speed it always did.
+        if gc.get_count()[2]:
+            gc.collect()
 
 
 def _point_key(point: Any, index: int, key: Optional[Callable[[Any], Any]]) -> Any:

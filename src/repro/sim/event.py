@@ -22,16 +22,16 @@ class Event:
 
     __slots__ = ("time", "seq", "fn", "args", "canceled", "_sim")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
+    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple, sim):
         self.time = time
         self.seq = seq
         self.fn = fn
         self.args = args
         self.canceled = False
-        # Back-reference to the owning Simulator while queued (set by
-        # Simulator.at, cleared when the event is popped) so cancel()
-        # can keep the live pending-event counter exact without a scan.
-        self._sim = None
+        # Back-reference to the owning Simulator while queued (cleared
+        # when the event is popped) so cancel() can keep the live
+        # pending-event counter exact without a scan.
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""

@@ -22,6 +22,8 @@ from typing import Any, Callable, Optional
 from repro.sim.event import Event
 from repro.sim.wheel import make_scheduler
 
+_FOREVER = float("inf")
+
 
 class Simulator:
     """Deterministic discrete-event simulator.
@@ -43,7 +45,7 @@ class Simulator:
         self.seed = seed
         self.random = random.Random(seed)
         self._queue = make_scheduler(scheduler)
-        self._seq = 0
+        self._scheduled = 0  # events ever scheduled: the (time, seq) tiebreak
         self._events_fired = 0
         self._pending = 0  # live non-canceled count; no queue scans
         # Observability handle (repro.obs.Obs) or None = off.  Set it
@@ -67,15 +69,18 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        return self.at(self.now + delay, fn, *args)
+        self._scheduled = order = self._scheduled + 1
+        event = Event(self.now + delay, order, fn, args, self)
+        self._queue.push(event)
+        self._pending += 1
+        return event
 
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        self._seq += 1
-        event = Event(time, self._seq, fn, args)
-        event._sim = self
+        self._scheduled = order = self._scheduled + 1
+        event = Event(time, order, fn, args, self)
         self._queue.push(event)
         self._pending += 1
         return event
@@ -97,7 +102,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Run the next pending event.  Returns False if none remain."""
-        event = self._queue.pop()
+        event = self._queue.pop_due(_FOREVER)
         if event is None:
             return False
         event._sim = None
@@ -109,21 +114,25 @@ class Simulator:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or the event
-        budget ``max_events`` is exhausted."""
+        budget ``max_events`` is exhausted.  The clock never moves
+        backwards: an ``until`` already in the past fires nothing and
+        leaves ``now`` alone."""
+        limit = _FOREVER if until is None else until
+        pop_due = self._queue.pop_due
         fired = 0
-        while True:
-            if max_events is not None and fired >= max_events:
+        while max_events is None or fired < max_events:
+            event = pop_due(limit)
+            if event is None:
+                if until is not None and until > self.now:
+                    self.now = until
                 return
-            head = self._queue.peek()
-            if head is None:
-                break
-            if until is not None and head.time > until:
-                self.now = until
-                return
-            self.step()
+            # step(), inlined: this loop is the simulator's hot path.
+            event._sim = None
+            self._pending -= 1
+            self.now = event.time
+            self._events_fired += 1
+            event.fire()
             fired += 1
-        if until is not None and until > self.now:
-            self.now = until
 
     @property
     def pending(self) -> int:

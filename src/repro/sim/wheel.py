@@ -1,7 +1,7 @@
 """Event-queue backends: a slotted timing wheel and the heapq reference.
 
-Both schedulers expose the same four operations (``push``, ``pop``,
-``peek``, ``len``) and both fire events in exactly global ``(time,
+Both schedulers expose the same three operations (``push``,
+``pop_due``, ``len``) and both fire events in exactly global ``(time,
 seq)`` order — the heap by construction, the wheel by a quantization
 argument spelled out below.  The wheel is the default because a single
 binary heap over hundreds of thousands of timers spends its time in
@@ -25,7 +25,7 @@ The only subtlety is late scheduling: the simulator forbids scheduling
 in the past, so a new event's slot index is always >= the slot of the
 event that is firing — it either joins the active slot's heap (where
 the heap restores order) or lands in a strictly later slot.  When
-``peek`` has advanced the cursor past empty slots (``run(until=...)``
+``pop_due`` has advanced the cursor past empty slots (``run(until=...)``
 probing the head), events scheduled for an index at or before the
 cursor also join the active heap, which keeps them ordered relative to
 whatever the cursor already covers.
@@ -80,24 +80,18 @@ class HeapScheduler:
     def push(self, event: Event) -> None:
         heappush(self._heap, (event.time, event.seq, event))
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next non-canceled event, else None."""
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[2]
-            if not event.canceled:
-                return event
-        return None
-
-    def peek(self) -> Optional[Event]:
-        """The next non-canceled event without removing it, else None.
+    def pop_due(self, limit: float) -> Optional[Event]:
+        """Remove and return the next non-canceled event if it is due at
+        or before ``limit``; None (and it stays queued) otherwise.
         Canceled heads are dropped on the way (they are dead weight)."""
         heap = self._heap
         while heap:
-            event = heap[0][2]
+            time, _seq, event = heap[0]
+            if time > limit and not event.canceled:
+                return None
+            heappop(heap)
             if not event.canceled:
                 return event
-            heappop(heap)
         return None
 
     def __len__(self) -> int:
@@ -157,28 +151,19 @@ class SlottedWheel:
         self._cursor = index
         return True
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next non-canceled event, else None."""
+    def pop_due(self, limit: float) -> Optional[Event]:
+        """Remove and return the next non-canceled event if it is due at
+        or before ``limit``; None (and it stays queued) otherwise."""
         while True:
             current = self._current
             while current:
-                event = heappop(current)[2]
-                self._size -= 1
-                if not event.canceled:
-                    return event
-            if not self._advance():
-                return None
-
-    def peek(self) -> Optional[Event]:
-        """The next non-canceled event without removing it, else None."""
-        while True:
-            current = self._current
-            while current:
-                event = current[0][2]
-                if not event.canceled:
-                    return event
+                time, _seq, event = current[0]
+                if time > limit and not event.canceled:
+                    return None
                 heappop(current)
                 self._size -= 1
+                if not event.canceled:
+                    return event
             if not self._advance():
                 return None
 

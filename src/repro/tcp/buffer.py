@@ -9,7 +9,7 @@ care not to coalesce packets with different offload results" (§4.3).
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.net.packet import SkbMeta
@@ -36,18 +36,23 @@ class SendBuffer:
     """Bytes the application has written but TCP has not yet had ACKed.
 
     Holds the range [snd_una, snd_una + len); supports reading any
-    sub-range for (re)transmission.  Backed by one bytearray with a head
-    offset, compacted opportunistically.
+    sub-range for (re)transmission.  The payload stays where the caller
+    put it: the buffer keeps the immutable objects it was handed plus
+    each one's end position in the stream, so an L5P that logs a record
+    for TX recovery and the buffer that transmits it share one object.
     """
 
     def __init__(self, base_seq: int, limit: int = 4 * 1024 * 1024):
-        self.base_seq = base_seq  # sequence number of _data[_head]
+        self.base_seq = base_seq  # sequence number of the first unacked byte
         self.limit = limit
-        self._data = bytearray()
-        self._head = 0
+        # Stream positions count bytes since construction and never wrap.
+        self._chunks: list[bytes] = []  # _chunks[0] may be partly acked
+        self._ends: list[int] = []  # stream position just past each chunk
+        self._una = 0  # stream position of base_seq
+        self._end = 0  # stream position just past the last byte written
 
     def __len__(self) -> int:
-        return len(self._data) - self._head
+        return self._end - self._una
 
     @property
     def space(self) -> int:
@@ -58,10 +63,17 @@ class SendBuffer:
         return sq.add(self.base_seq, len(self))
 
     def append(self, data: bytes) -> int:
-        """Append up to ``space`` bytes; returns how many were accepted."""
+        """Append up to ``space`` bytes; returns how many were accepted.
+
+        ``bytes`` input is kept by reference; a mutable buffer is
+        snapshotted, so later writes to it never reach the wire.
+        """
         accepted = min(len(data), self.space)
         if accepted:
-            self._data += data[:accepted]
+            whole = accepted == len(data)
+            self._chunks.append(bytes(data) if whole else bytes(memoryview(data)[:accepted]))
+            self._end += accepted
+            self._ends.append(self._end)
         return accepted
 
     def peek(self, seq: int, length: int) -> bytes:
@@ -72,10 +84,23 @@ class SendBuffer:
                 f"range seq={seq} len={length} outside buffered "
                 f"[{self.base_seq}, {self.end_seq})"
             )
-        start = self._head + offset
-        # memoryview avoids the intermediate bytearray copy a plain slice
-        # would make; peek() runs once per (re)transmitted segment.
-        return bytes(memoryview(self._data)[start : start + length])
+        if not length:
+            return b""
+        pos = self._una + offset
+        index = bisect_right(self._ends, pos)  # the chunk holding ``pos``
+        chunk = self._chunks[index]
+        start = pos - (self._ends[index] - len(chunk))
+        piece = chunk[start : start + length]
+        if len(piece) == length:
+            return piece
+        pieces = [piece]
+        missing = length - len(piece)
+        while missing:
+            index += 1
+            piece = self._chunks[index][:missing]
+            pieces.append(piece)
+            missing -= len(piece)
+        return b"".join(pieces)
 
     def ack_to(self, seq: int) -> int:
         """Release bytes up to ``seq`` (new snd_una); returns bytes freed."""
@@ -84,11 +109,12 @@ class SendBuffer:
             return 0
         if advance > len(self):
             raise ValueError(f"ACK {seq} beyond buffered data (end {self.end_seq})")
-        self._head += advance
+        self._una += advance
         self.base_seq = seq
-        if self._head > 256 * 1024 and self._head > len(self._data) // 2:
-            del self._data[: self._head]
-            self._head = 0
+        acked = bisect_right(self._ends, self._una)  # chunks wholly below snd_una
+        if acked:
+            del self._chunks[:acked]
+            del self._ends[:acked]
         return advance
 
 
@@ -104,11 +130,9 @@ class ReassemblyQueue:
     def __init__(self, rcv_nxt: int, window: int = 16 * 1024 * 1024):
         self.rcv_nxt = rcv_nxt
         self.window = window
+        #: Bytes parked out of order (read for every advertised window).
+        self.buffered_bytes = 0
         self._segments: list[Skb] = []  # sorted by seq, non-overlapping
-
-    @property
-    def buffered_bytes(self) -> int:
-        return sum(len(s) for s in self._segments)
 
     @property
     def has_gap_data(self) -> bool:
@@ -145,23 +169,39 @@ class ReassemblyQueue:
 
     def _insert_trimmed(self, skb: Skb) -> None:
         """Insert, trimming against existing segments (existing data wins)."""
+        segs = self._segments
         rcv = self.rcv_nxt
-        end_off = sq.sub(skb.end_seq, rcv)
-        pending = [skb]
-        for existing in self._segments:
-            if sq.sub(existing.seq, rcv) >= end_off:
-                break  # sorted: no later segment can overlap the new data
-            next_pending: list[Skb] = []
-            for piece in pending:
-                next_pending.extend(_subtract(piece, existing))
-            pending = next_pending
-            if not pending:
-                return
-        # Surviving pieces are disjoint from every existing segment (all
-        # start offsets distinct), so an ordered insert reproduces what a
-        # full re-sort would.
-        for piece in pending:
-            insort(self._segments, piece, key=lambda s: sq.sub(s.seq, rcv))
+        # Offsets from rcv_nxt: everything queued lies inside the window,
+        # so they compare as plain integers.
+        start = sq.sub(skb.seq, rcv)
+        end = start + len(skb.data)
+        # Disjoint and sorted by start is sorted by end too, so of the
+        # segments starting at or before ``start`` only the last can
+        # reach into the new data.
+        first = bisect_right(segs, start, key=lambda s: sq.sub(s.seq, rcv))
+        if first and sq.sub(segs[first - 1].end_seq, rcv) > start:
+            first -= 1
+        # ``run`` replaces the overlapped segments: the same segments
+        # with the holes before, between and after them filled from the
+        # new data.
+        run: list[Skb] = []
+        cursor = start
+        last = first
+        while last < len(segs):
+            seg = segs[last]
+            seg_start = sq.sub(seg.seq, rcv)
+            if seg_start >= end:
+                break
+            if seg_start > cursor:
+                run.append(_piece(skb, cursor - start, seg_start - start))
+                self.buffered_bytes += seg_start - cursor
+            run.append(seg)
+            cursor = seg_start + len(seg.data)
+            last += 1
+        if cursor < end:
+            run.append(_piece(skb, cursor - start, end - start))
+            self.buffered_bytes += end - cursor
+        segs[first:last] = run
 
     def _pop_ready(self) -> list[Skb]:
         segs = self._segments
@@ -174,36 +214,15 @@ class ReassemblyQueue:
             return []
         ready = segs[:taken]
         del segs[:taken]
+        self.buffered_bytes -= sq.sub(rcv, self.rcv_nxt)
         self.rcv_nxt = rcv
         return ready
 
 
-_MOD = sq.MOD
-_HALF = 1 << 31
-
-
-def _subtract(piece: Skb, existing: Skb) -> list[Skb]:
-    """Parts of ``piece`` not covered by ``existing`` (0, 1, or 2 pieces).
-
-    The mod-2^32 comparisons (repro.tcp.seq semantics) are hand-inlined:
-    this runs once per (piece, overlap candidate) pair and dominates
-    reassembly cost under loss.
-    """
-    p_start = piece.seq
-    p_end = (p_start + len(piece.data)) % _MOD
-    e_start = existing.seq
-    e_end = (e_start + len(existing.data)) % _MOD
-    # sq.le(p_end, e_start) or sq.ge(p_start, e_end): disjoint.
-    head_gap = (p_end - e_start) % _MOD
-    tail_gap = (p_start - e_end) % _MOD
-    if head_gap == 0 or head_gap >= _HALF or tail_gap < _HALF:
-        return [piece]
-    result = []
-    keep = (e_start - p_start) % _MOD
-    if 0 < keep < _HALF:  # sq.lt(p_start, e_start): head survives
-        result.append(Skb(p_start, piece.data[:keep], piece.meta.copy()))
-    over = (p_end - e_end) % _MOD
-    if 0 < over < _HALF:  # sq.gt(p_end, e_end): tail survives
-        drop = (e_end - p_start) % _MOD
-        result.append(Skb(e_end, piece.data[drop:], piece.meta.copy()))
-    return result
+def _piece(skb: Skb, lo: int, hi: int) -> Skb:
+    """Bytes [lo, hi) of ``skb`` as a segment of their own; a cut piece
+    gets its own copy of the offload results, which describe every byte
+    alike."""
+    if lo == 0 and hi == len(skb.data):
+        return skb
+    return Skb(sq.add(skb.seq, lo), skb.data[lo:hi], skb.meta.copy())

@@ -169,6 +169,50 @@ class TestTxRecovery:
             h.send_packet(50, plain[50:60])
 
 
+class TestStaleRetransmission:
+    """A retransmission queued before an ACK reaches the NIC after the
+    L5P pruned the acknowledged messages."""
+
+    def _acked_past_boundary(self):
+        h = TxHarness()
+        bodies = [b"A" * 100, b"B" * 100]
+        plain = b"".join(h.ops.stage(b) for b in bodies)
+        for seg_seq, chunk in segments(plain, 72):
+            h.send_packet(seg_seq, chunk)
+        boundary = len(plain) // 2
+        h.conn.snd_una = boundary + 10  # the ACK passed message 0 and 10 bytes of message 1
+        del h.ops.messages[0]  # ... so the L5P released message 0
+        return h, plain, boundary
+
+    @pytest.mark.parametrize("software", [False, True], ids=["nic", "host-shadow"])
+    def test_segment_spanning_a_pruned_boundary_recovers_from_snd_una(self, software):
+        h, plain, boundary = self._acked_past_boundary()
+        seq, end = boundary - 30, boundary + 40
+        correct = h.wire_bytes()
+        pkt = Packet(FLOW, seq=seq, payload=plain[seq:end])
+        if software:
+            h.nic.tx_engine.process_software(h.ctx, h.conn, pkt)
+        else:
+            pkt = h.send_packet(seq, plain[seq:end])  # through the sanitizer's SAN-TX-SIZE check
+        stale = h.conn.snd_una - seq
+        assert len(pkt.payload) == end - seq
+        assert pkt.payload[:stale] == b"\x00" * stale  # the receiver trims these
+        assert pkt.payload[stale:] == correct[h.conn.snd_una : end]
+        assert h.ctx.expected_seq == end
+
+    def test_fully_acked_segment_is_zero_filled(self):
+        h, plain, boundary = self._acked_past_boundary()
+        out = h.send_packet(boundary - 50, plain[boundary - 50 : boundary + 10])
+        assert out.payload == b"\x00" * 60
+        assert not out.meta.offloaded
+
+    def test_unacked_bytes_without_state_still_raise(self):
+        h, plain, boundary = self._acked_past_boundary()
+        h.conn.snd_una = boundary - 10  # message 0 was released while still unacknowledged
+        with pytest.raises(ProtocolError):
+            h.send_packet(boundary - 30, plain[boundary - 30 : boundary + 40])
+
+
 class TestTxValidation:
     def test_unparseable_stream_raises(self):
         h = TxHarness()

@@ -58,6 +58,18 @@ def test_run_until_stops_clock_at_bound(make_sim):
     assert fired == ["late"]
 
 
+def test_run_until_in_the_past_never_rewinds_the_clock(make_sim):
+    sim = make_sim()
+    fired = []
+    sim.schedule(5.0, fired.append, "late")
+    sim.run(until=2.0)
+    sim.run(until=1.0)  # a later event is pending: must not pull now back to 1.0
+    assert sim.now == 2.0 and fired == []
+    sim.run()
+    sim.run(until=1.0)  # and with the queue drained
+    assert sim.now == 5.0 and fired == ["late"]
+
+
 def test_run_until_advances_clock_even_with_empty_queue(make_sim):
     sim = make_sim()
     sim.run(until=4.0)

@@ -89,6 +89,9 @@ def test_testbed_config_scheduler_knob():
     assert Testbed(cfg).sim.scheduler_name == "heap"
 
 
+FOREVER = float("inf")
+
+
 class _Tick:
     """Event stand-in: the wheel only reads .time, .seq, .canceled."""
 
@@ -107,20 +110,23 @@ def test_scheduler_primitive_interface(factory):
     for tick in ticks:
         q.push(tick)
     assert len(q) == 4
-    assert q.peek() is ticks[1]  # earliest time, lowest seq
+    assert q.pop_due(0.5e-6) is None and len(q) == 4  # nothing due yet: all stay queued
+    assert q.pop_due(1e-6) is ticks[1]  # earliest time, lowest seq; due *at* the limit counts
     ticks[2].canceled = True  # lazily skipped, not removed
-    assert [q.pop() for _ in range(3)] == [ticks[1], ticks[0], ticks[3]]
-    assert q.pop() is None and q.peek() is None and len(q) == 0
+    assert q.pop_due(6e-6) is ticks[0]
+    assert q.pop_due(6e-6) is None and len(q) == 1
+    assert q.pop_due(FOREVER) is ticks[3]
+    assert q.pop_due(FOREVER) is None and len(q) == 0
 
 
 def test_wheel_late_push_joins_active_slot():
     q = SlottedWheel()
     first = _Tick(5e-6, 1)
     q.push(first)
-    assert q.peek() is first  # peek advances the cursor to first's slot
+    assert q.pop_due(1e-6) is None  # probing the head advances the cursor to first's slot
     # A later-seq event in an already-passed slot must still sort by
     # (time, seq) against the active slot's contents.
     early = _Tick(2e-6, 2)
     q.push(early)
-    assert q.pop() is early
-    assert q.pop() is first
+    assert q.pop_due(FOREVER) is early
+    assert q.pop_due(FOREVER) is first

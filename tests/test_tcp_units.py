@@ -1,7 +1,10 @@
 """Unit tests for TCP building blocks: seq math, buffers, congestion."""
 
+import tracemalloc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.net.packet import SkbMeta
 from repro.tcp import seq as sq
@@ -90,8 +93,136 @@ class TestSendBuffer:
         buf = SendBuffer(0, limit=2 * 1024 * 1024)
         data = bytes(range(256)) * 4096  # 1 MiB
         buf.append(data)
-        buf.ack_to(600 * 1024)  # force compaction threshold
+        buf.ack_to(600 * 1024)  # deep into the one 1 MiB chunk (the flat model compacted here)
         assert buf.peek(600 * 1024, 100) == data[600 * 1024 : 600 * 1024 + 100]
+
+
+class _FlatSendBuffer:
+    """The reference model: the flat ``bytearray`` SendBuffer this repo
+    shipped before the reference-holding one, with its compaction
+    threshold lowered from 256 KiB to 256 B so small cases reach it."""
+
+    def __init__(self, base_seq, limit):
+        self.base_seq = base_seq
+        self.limit = limit
+        self._data = bytearray()
+        self._head = 0
+
+    def __len__(self):
+        return len(self._data) - self._head
+
+    @property
+    def space(self):
+        return max(0, self.limit - len(self))
+
+    @property
+    def end_seq(self):
+        return sq.add(self.base_seq, len(self))
+
+    def append(self, data):
+        accepted = min(len(data), self.space)
+        if accepted:
+            self._data += data[:accepted]
+        return accepted
+
+    def peek(self, seq, length):
+        offset = sq.sub(seq, self.base_seq)
+        if offset < 0 or offset + length > len(self):
+            raise IndexError(seq, length)
+        start = self._head + offset
+        return bytes(memoryview(self._data)[start : start + length])
+
+    def ack_to(self, seq):
+        advance = sq.sub(seq, self.base_seq)
+        if advance < 0:
+            return 0
+        if advance > len(self):
+            raise ValueError(seq)
+        self._head += advance
+        self.base_seq = seq
+        if self._head > 256 and self._head > len(self._data) // 2:
+            del self._data[: self._head]
+            self._head = 0
+        return advance
+
+
+class SendBufferMachine(RuleBasedStateMachine):
+    """Random append / peek / ack_to against the flat model, starting
+    within 64 KiB of the 2^32 wrap, with a limit small enough that
+    appends are regularly cut short and peeks span several chunks."""
+
+    @initialize(below_wrap=st.integers(1, 64 * 1024), limit=st.integers(1, 6000))
+    def setup(self, below_wrap, limit):
+        self.real = SendBuffer(MOD - below_wrap, limit=limit)
+        self.model = _FlatSendBuffer(MOD - below_wrap, limit)
+
+    @rule(data=st.binary(max_size=2500), kind=st.sampled_from([bytes, bytearray, memoryview]))
+    def append(self, data, kind):
+        source = bytearray(data)
+        written = memoryview(source) if kind is memoryview else kind(source)
+        assert self.real.append(written) == self.model.append(data)
+        for i in range(len(source)):  # the caller reuses its buffer: the wire must not see it
+            source[i] ^= 0xFF
+
+    @precondition(lambda self: len(self.model))
+    @rule(where=st.floats(0, 1), span=st.floats(0, 1))
+    def peek(self, where, span):
+        offset = int(where * len(self.model))
+        length = int(span * (len(self.model) - offset))
+        seq = sq.add(self.model.base_seq, offset)
+        assert self.real.peek(seq, length) == self.model.peek(seq, length)
+
+    @rule(before=st.integers(1, 100), beyond=st.integers(1, 100))
+    def peek_outside_raises(self, before, beyond):
+        with pytest.raises(IndexError):
+            self.real.peek(sq.add(self.model.base_seq, -before), 1)
+        with pytest.raises(IndexError):
+            self.real.peek(self.model.base_seq, len(self.model) + beyond)
+
+    @rule(share=st.floats(0, 1))
+    def ack(self, share):
+        seq = sq.add(self.model.base_seq, int(share * len(self.model)))
+        assert self.real.ack_to(seq) == self.model.ack_to(seq)
+
+    @rule(behind=st.integers(1, 5000))
+    def old_ack_is_noop(self, behind):
+        assert self.real.ack_to(sq.add(self.model.base_seq, -behind)) == 0
+
+    @rule(beyond=st.integers(1, 5000))
+    def ack_beyond_data_raises(self, beyond):
+        with pytest.raises(ValueError):
+            self.real.ack_to(sq.add(self.model.end_seq, beyond))
+
+    @invariant()
+    def same_observable_state(self):
+        real, model = self.real, self.model
+        assert (real.base_seq, real.end_seq, len(real), real.space) == (
+            model.base_seq,
+            model.end_seq,
+            len(model),
+            model.space,
+        )
+        assert real.peek(real.base_seq, len(real)) == model.peek(model.base_seq, len(model))
+
+
+TestSendBufferAgainstFlatModel = SendBufferMachine.TestCase
+TestSendBufferAgainstFlatModel.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
+
+
+def test_send_buffer_holds_references_not_copies():
+    """Filling a 4 MiB buffer with one 64 KiB object (what iperf does)
+    must cost list slots, not 4 MiB of payload copies."""
+    message = bytes(64 * 1024)
+    buf = SendBuffer(0, limit=4 * 1024 * 1024)
+    tracemalloc.start()
+    try:
+        while buf.space >= len(message):
+            assert buf.append(message) == len(message)
+        allocated, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == 4 * 1024 * 1024
+    assert allocated < 256 * 1024
 
 
 def meta():
@@ -178,6 +309,66 @@ class TestReassembly:
                 assert skb.seq == len(received)
                 received += skb.data
         assert bytes(received) == stream
+
+
+class ReassemblyMachine(RuleBasedStateMachine):
+    """Random segments against a brute-force byte map: position ->
+    (byte, tag of the first segment that delivered it).  Positions are
+    unwrapped stream offsets; the queue starts just below the 2^32 wrap."""
+
+    WINDOW = 4000
+
+    @initialize(below_wrap=st.integers(1, 3000))
+    def setup(self, below_wrap):
+        self.base = MOD - below_wrap
+        self.queue = ReassemblyQueue(self.base, window=self.WINDOW)
+        self.rcv = 0  # model's rcv_nxt as a stream position
+        self.parked = {}  # position -> (byte, tag)
+        self.inserted = 0
+
+    @rule(lead=st.integers(-600, WINDOW + 200), data=st.binary(max_size=700))
+    def insert(self, lead, data):
+        self.inserted += 1
+        tag = self.inserted
+        start = self.rcv + lead
+        ready = self.queue.insert(sq.add(self.base, start), data, SkbMeta(steer_queue=tag))
+        if start + len(data) - self.rcv <= self.WINDOW:  # else refused whole
+            for pos, byte in enumerate(data, start):
+                if pos >= self.rcv:
+                    self.parked.setdefault(pos, (byte, tag))  # first arrival wins
+        expect = []
+        while self.rcv in self.parked:
+            expect.append(self.parked.pop(self.rcv))
+            self.rcv += 1
+        got = [(byte, skb.meta.steer_queue) for skb in ready for byte in skb.data]
+        assert got == expect
+        pos = self.rcv - len(expect)
+        for skb in ready:  # contiguous, in order, ending at the new rcv_nxt
+            assert skb.seq == sq.add(self.base, pos)
+            pos += len(skb)
+        assert pos == self.rcv
+
+    @invariant()
+    def queue_matches_byte_map(self):
+        q = self.queue
+        assert q.rcv_nxt == sq.add(self.base, self.rcv)
+        assert q.buffered_bytes == sum(len(s) for s in q._segments) == len(self.parked)
+        assert q.has_gap_data == bool(self.parked)
+        held = {}
+        prev_end = self.rcv  # sorted, disjoint, non-empty, strictly above rcv_nxt
+        for seg in q._segments:
+            start = self.rcv + sq.sub(seg.seq, q.rcv_nxt)
+            assert len(seg) and start >= prev_end and (start > self.rcv)
+            prev_end = start + len(seg)
+            for pos, byte in enumerate(seg.data, start):
+                held[pos] = (byte, seg.meta.steer_queue)
+        assert held == self.parked
+        blocks = q.sack_blocks(limit=1 << 30)
+        assert sum(sq.sub(end, start) for start, end in blocks) == len(self.parked)
+
+
+TestReassemblyAgainstByteMap = ReassemblyMachine.TestCase
+TestReassemblyAgainstByteMap.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
 
 
 class TestRenoCc:
