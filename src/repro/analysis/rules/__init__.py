@@ -18,7 +18,6 @@ from repro.analysis.rules.l5p_contract import (
     IncrementalTransformRule,
     MagicFramingRule,
     PluginDeclarationRule,
-    UpcallWiringRule,
 )
 from repro.analysis.rules.metric_baseline import MetricBaselineRule
 from repro.analysis.rules.mutable_defaults import MutableDefaultsRule
@@ -41,7 +40,6 @@ def all_rules() -> list[LintRule]:
         EventTiebreakRule(),
         MagicFramingRule(),
         IncrementalTransformRule(),
-        UpcallWiringRule(),
         PluginDeclarationRule(),
         MetricBaselineRule(),
         HotLoopRule(),

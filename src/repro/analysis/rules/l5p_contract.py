@@ -1,14 +1,15 @@
-"""SIM009–SIM011 — the Table-3 offloadability contract, machine-checked.
+"""SIM009, SIM010, SIM014 — the Table-3 offloadability contract, machine-checked.
 
 The paper's Table 3 names the preconditions an L5P must satisfy before
 its data-intensive operation can ride the NIC: a plaintext magic
-pattern plus length field for receive resynchronization (§3.3), an
-incrementally computable transform with constant-size state (§3.2),
-and recovery/degradation upcalls so software can take over when the
-offload loses its place (§4, §5.3).  ``repro.l5p`` is growing into a
-generic plugin surface; these rules make the preconditions structural
-properties of the code, checked on every class that claims the
-surface, instead of conventions a new plugin can silently skip:
+pattern plus length field for receive resynchronization (§3.3) and an
+incrementally computable transform with constant-size state (§3.2).
+``repro.l5p`` is a generic plugin surface; these rules make the
+preconditions structural properties of the code, checked on every class
+that claims the surface, instead of conventions a new plugin can
+silently skip.  (The recovery/degradation upcalls of §4 and §5.3 need
+no rule: every stream endpoint inherits all four from
+``repro.l5p.base.StreamEndpoint``.)
 
 - **SIM009** (magic-framing): a direct ``L5pAdapter`` subclass must
   declare a non-trivial magic pattern (``magic_len``/``header_len``
@@ -21,11 +22,6 @@ surface, instead of conventions a new plugin can silently skip:
   nothing derived from it is whole-message buffering — the state the
   NIC would need grows with the message, violating the constant-size
   context budget (208 B/flow, §6.4).
-- **SIM011** (upcall-wiring): a class implementing any of the Listing-2
-  upcalls (``l5o_get_tx_msgstate``/``l5o_resync_rx_req``) must
-  implement the full set including ``l5o_offload_degraded``, so the
-  driver's §5.3 graceful-degradation path (``repro.faults``) always
-  has someone to notify.
 - **SIM014** (plugin-declaration): literal ``L5Protocol`` /
   ``MagicSpec`` / ``Table3Preconditions`` declarations (the
   ``repro.l5p.plugin`` registry surface) must be statically coherent:
@@ -48,10 +44,6 @@ _ADAPTER_BASE = "L5pAdapter"
 _TRANSFORM_BASE = "MsgTransform"
 #: Modules defining the abstract surfaces themselves.
 _TYPES_HOME = "repro/core/types.py"
-_DRIVER_HOME = "repro/core/driver.py"
-
-_UPCALLS = ("l5o_get_tx_msgstate", "l5o_resync_rx_req")
-_DEGRADE_UPCALL = "l5o_offload_degraded"
 #: Module defining the plugin declaration surface itself.
 _PLUGIN_HOME = "repro/l5p/plugin.py"
 
@@ -91,14 +83,6 @@ def _method(node: ast.ClassDef, name: str) -> Optional[ast.FunctionDef]:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name == name:
             return stmt
     return None
-
-
-def _method_names(node: ast.ClassDef) -> set:
-    return {
-        stmt.name
-        for stmt in node.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
 
 
 def _body_sans_docstring(fn: ast.FunctionDef) -> list:
@@ -246,33 +230,6 @@ class IncrementalTransformRule(LintRule):
                 continue
             return True
         return False
-
-
-class UpcallWiringRule(LintRule):
-    code = "SIM011"
-    name = "l5p-upcall-wiring"
-    description = "Listing-2 implementors must wire the full upcall set incl. l5o_offload_degraded"
-    family = "contract"
-
-    def check(self, module: SourceModule) -> Iterable[Finding]:
-        if module.posix_path.endswith(_DRIVER_HOME):
-            return  # the L5pOps Protocol definition itself
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            defined = _method_names(node)
-            if not defined.intersection(_UPCALLS):
-                continue
-            required = set(_UPCALLS) | {_DEGRADE_UPCALL}
-            missing = sorted(required - defined)
-            if missing:
-                yield module.finding(
-                    node,
-                    self.code,
-                    f"`{node.name}` implements the Listing-2 upcall surface but is missing "
-                    f"{', '.join(missing)}: the driver's graceful-degradation path (§5.3) "
-                    "must be able to notify every L5P endpoint",
-                )
 
 
 def _call_name(node: ast.Call) -> str:

@@ -34,6 +34,17 @@ class L5pOps(Protocol):
         or deny later via ``l5o_resync_rx_resp``."""
         ...
 
+    def l5o_offload_degraded(self, direction: str, reason: str) -> None:
+        """The driver gave up on ``direction``'s offload for this flow
+        (§5.3); the L5P carries on in software."""
+        ...
+
+    def l5o_nic_reattach(self, direction: str) -> Optional[HwContext]:
+        """A NIC reset destroyed ``direction``'s context: re-install it
+        from host-owned state and return it, or None if the flow is
+        closed or the endpoint not ready."""
+        ...
+
 
 class NicDriver:
     """Per-NIC driver instance (mlx5-equivalent glue)."""
@@ -314,9 +325,8 @@ class NicDriver:
         if obs is not None:
             obs.count("driver.offload.auto_disabled")
             obs.event("offload-auto-disable", lane=f"ctx/{ctx.ctx_id}", cat="degrade")
-        degraded = getattr(ctx.l5p_ops, "l5o_offload_degraded", None)
-        if degraded is not None:
-            degraded(ctx.direction.value, "resync-failures")
+        if ctx.l5p_ops is not None:
+            ctx.l5p_ops.l5o_offload_degraded(ctx.direction.value, "resync-failures")
         if self.probation_s > 0:
             self.nic.host.sim.schedule(self.probation_s, self._probation_reenable, ctx)
 
@@ -441,11 +451,7 @@ class NicDriver:
         while budget > 0 and self._reattach_queue:
             l5p_ops, direction, old_id = self._reattach_queue.popleft()
             budget -= 1
-            reattach = getattr(l5p_ops, "l5o_nic_reattach", None)
-            if reattach is None:
-                lifecycle.note_reinstall_unsupported()
-                continue
-            ctx = reattach(direction.value)
+            ctx = l5p_ops.l5o_nic_reattach(direction.value) if l5p_ops is not None else None
             if ctx is None:
                 lifecycle.note_reinstall_unsupported()
                 continue

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 from repro.core.types import Direction, L5pAdapter, MessageDesc, MsgTransform, ProtocolError
 from repro.crypto.crc import get_digest
-from repro.l5p.base import StreamAssembler
+from repro.l5p.base import StreamEndpoint
 from repro.tcp import seq as sq
 from repro.util.lzss import StreamingDecoder, compress, decompress
 
@@ -53,6 +53,14 @@ def parse_header(header: bytes) -> Optional[tuple[int, int, int, int]]:
     if plain_len > MAX_PLAIN or comp_len > plain_len + plain_len // 4 + 64:
         return None
     return flags, msg_id, plain_len, comp_len
+
+
+def total_len(header: bytes) -> int:
+    """Full on-wire message length; :class:`ValueError` for a bad header."""
+    parsed = parse_header(header)
+    if parsed is None:
+        raise ValueError("bad CZ header")
+    return HEADER_LEN + parsed[3] + TRAILER_LEN
 
 
 class _DecompTransform(MsgTransform):
@@ -156,7 +164,7 @@ class DecompAdapter(L5pAdapter):
         self._pkt_place_ok = True
 
 
-class CompressedStream:
+class CompressedStream(StreamEndpoint):
     """Software endpoint: framed compressed messages over a TcpConnection.
 
     The receiver pre-registers a pool of max-size output buffers with
@@ -164,24 +172,25 @@ class CompressedStream:
     those buffers, everything else is decompressed in software.
     """
 
+    protocol = "decomp"
+    header_len = HEADER_LEN
+    _total_len = staticmethod(total_len)
+
     def __init__(self, host, conn, role: str, offload: bool = False, digest_name: str = "crc32c",
                  pool_buffers: int = 32, max_plain: int = 256 * 1024):
-        self.host = host
-        self.conn = conn
+        super().__init__(host)
         self.offload = offload
         self.digest_cls = get_digest(digest_name)
-        self.core = host.core_for_flow(conn.flow)
-        self.model = host.model
         self.max_plain = max_plain
         self.on_message: Optional[Callable[[bytes], None]] = None
-        self._assembler: Optional[StreamAssembler] = None
-        self._rx_ctx = None
-        self._adapter: Optional[DecompAdapter] = None
-        self._rx_count = 0
+        self._adapter = DecompAdapter(digest_name) if offload else None
         self._greeting_seen = 0
         self._tx_id = 0
         self._pool_buffers = pool_buffers
-        self._pending_resync: list[int] = []
+        # Placement buffers, host-owned: every RX context this stream
+        # installs (the first, and each one after a NIC reset) draws on
+        # the same pool.
+        self._pool: deque[bytearray] = deque()
         self.ready = role == "receiver"
         self.on_ready: Optional[Callable[[], None]] = None
         self.stats = {
@@ -190,27 +199,29 @@ class CompressedStream:
             "rx_placed": 0,
             "rx_software": 0,
             "digest_fail": 0,
-            "offload_degraded": 0,
         }
 
-        conn.on_data = self._on_skb
+        self._attach(conn)
         if role == "receiver":
-            if offload:
-                driver = getattr(host.nic, "driver", None)
-                if driver is None:
-                    raise RuntimeError("decompression offload requires an OffloadNic")
-                self._adapter = DecompAdapter(digest_name)
-                self._rx_ctx = driver.l5o_create(
-                    conn, self._adapter, None, tcpsn=conn.rcv_nxt, direction=Direction.RX, l5p_ops=self
-                )
-                self._rx_ctx.rr_state["_pool"] = deque(
-                    bytearray(max_plain) for _ in range(pool_buffers)
-                )
+            self._install(Direction.RX)
             # Greeting: tells the sender the receiver (and its NIC
             # context) is in place, so no data packet races the install.
             conn.send(_GREETING)
         elif offload:
             raise ValueError("offload applies to the receiver side")
+
+    def _offload(self, direction: Direction):
+        if direction is Direction.RX and self.offload:
+            return self._adapter, None
+        return None  # no TX offload exists for this L5P (§3.1)
+
+    def _installed(self, direction: Direction) -> None:
+        self._top_up_pool()
+        self._rx_ctx.rr_state["_pool"] = self._pool
+
+    def _top_up_pool(self) -> None:
+        while len(self._pool) < self._pool_buffers:
+            self._pool.append(bytearray(self.max_plain))
 
     # ------------------------------------------------------------------
     def send(self, plain: bytes) -> int:
@@ -225,9 +236,7 @@ class CompressedStream:
         self._tx_id = (self._tx_id + 1) & 0xFFFFFFFF
         if self.conn.send_space < len(wire):
             return 0
-        accepted = self.conn.send(wire)
-        if accepted != len(wire):
-            raise RuntimeError("message split across send buffer boundary")
+        self._transmit(wire)
         self.stats["tx"] += 1
         return len(plain)
 
@@ -247,23 +256,10 @@ class CompressedStream:
                 self.on_ready()
             if not data:
                 return
-        if self._assembler is None:
-            self._assembler = StreamAssembler(HEADER_LEN, self._total_len, start_seq=seq)
-        for msg in self._assembler.push(data, meta):
-            self._on_message(msg)
+        self._ingest(data, meta, seq)
 
-    @staticmethod
-    def _total_len(header: bytes) -> int:
-        parsed = parse_header(header)
-        if parsed is None:
-            raise ValueError("bad CZ header")
-        _flags, _msg_id, _plain_len, comp_len = parsed
-        return HEADER_LEN + comp_len + TRAILER_LEN
-
-    def _on_message(self, msg) -> None:
-        self._rx_count += 1
+    def _on_message(self, msg, idx: int) -> None:
         self.stats["rx"] += 1
-        self._answer_resyncs(msg)
         wire = msg.wire
         _flags, msg_id, plain_len, comp_len = parse_header(wire[:HEADER_LEN])
         placed = msg.fully(lambda m: m.placed) and self._rx_ctx is not None
@@ -274,7 +270,7 @@ class CompressedStream:
             buffer, length = result
             plain = bytes(buffer[:length])
             # Return the buffer to the pool for reuse.
-            self._rx_ctx.rr_state["_pool"].append(buffer)
+            self._pool.append(buffer)
             self.stats["rx_placed"] += 1
         else:
             body = wire[HEADER_LEN : HEADER_LEN + comp_len]
@@ -286,43 +282,10 @@ class CompressedStream:
             plain = decompress(body)
             self.stats["rx_software"] += 1
         if self._rx_ctx is not None:
-            # Top the placement pool back up (buffers lost to torn
-            # messages never return through verify_rx).
-            pool = self._rx_ctx.rr_state["_pool"]
-            while len(pool) < self._pool_buffers:
-                pool.append(bytearray(self.max_plain))
+            # Buffers lost to torn messages never return through verify_rx.
+            self._top_up_pool()
         if self.on_message:
             self.on_message(plain)
-
-    # ------------------------------------------------------------------
-    # Listing 2 upcalls
-    # ------------------------------------------------------------------
-    def l5o_get_tx_msgstate(self, tcpsn: int):
-        return None  # no TX offload exists for this L5P
-
-    def l5o_resync_rx_req(self, tcpsn: int) -> None:
-        self._pending_resync.append(tcpsn)
-
-    def l5o_offload_degraded(self, direction: str, reason: str) -> None:
-        """The driver gave up on this flow's offload (§5.3): every
-        following message takes the software decompress path, which the
-        stats already count — just make the transition observable."""
-        self.stats["offload_degraded"] += 1
-
-    def _answer_resyncs(self, msg) -> None:
-        if not self._pending_resync or self._rx_ctx is None:
-            return
-        driver = self.host.nic.driver
-        end = sq.add(msg.start_seq, msg.length)
-        still = []
-        for req in self._pending_resync:
-            if req == msg.start_seq:
-                driver.l5o_resync_rx_resp(self._rx_ctx, req, True, msg_index=self._rx_count - 1)
-            elif sq.lt(req, end):
-                driver.l5o_resync_rx_resp(self._rx_ctx, req, False)
-            else:
-                still.append(req)
-        self._pending_resync = still
 
 
 from repro.l5p import plugin as _plugin
@@ -346,7 +309,6 @@ PLUGIN = _plugin.register(
             "pre-registered destination buffer, not the TCP stream (§7)",
         ),
         factory=DecompAdapter,
-        upcalls=("l5o_get_tx_msgstate", "l5o_resync_rx_req", "l5o_offload_degraded"),
         description="Inline decompression into pre-posted buffers",
         info={"trailer_len": TRAILER_LEN, "ops": ("inflate", "crc", "place")},
     )

@@ -184,7 +184,6 @@ PLUGIN = _plugin.register(
         factory=lambda patterns=None, **kw: DpiAdapter(
             patterns if patterns is not None else PatternSet((b"\x00",)), **kw
         ),
-        upcalls=("l5o_get_tx_msgstate", "l5o_resync_rx_req"),
         description="NIC-side deep packet inspection over framed streams",
         info={"trailer_len": 0, "ops": ("scan",)},
     )

@@ -13,14 +13,12 @@ produce.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from typing import Callable, Optional
 
-from repro.core.types import Direction, TxMsgState
+from repro.core.types import Direction
 from repro.l5p import plugin
-from repro.l5p.base import StreamAssembler
+from repro.l5p.base import StreamEndpoint
 from repro.l5p.http2 import frame as F
-from repro.tcp import seq as sq
 
 #: Non-uniform DATA chunk sizes (bytes), cycled per stream and chunk —
 #: from sub-MTU to the largest FCS frame the 16 KiB cap allows.
@@ -33,64 +31,6 @@ CYCLES_REQUEST = 600
 CYCLES_FRAME = 120
 
 
-class _Http2Peer:
-    """Shared assembler/backpressure machinery (mirrors the RPC peer)."""
-
-    def __init__(self, host, conn, config: F.Http2Config):
-        self.host = host
-        self.conn = conn
-        self.config = config
-        self.model = host.model
-        self.core = host.core_for_flow(conn.flow)
-        self.digest_cls = F.get_digest(config.digest_name)
-        self._assembler: Optional[StreamAssembler] = None
-        self._outq: deque[bytes] = deque()
-        conn.on_data = self._on_skb
-        conn.on_writable = self._flush
-        previous = conn.on_established
-
-        def established():
-            if previous:
-                previous()
-            self._on_established()
-            self._flush()
-
-        conn.on_established = established
-
-    def _on_established(self) -> None:
-        self._queue(F.make_frame(F.TYPE_SETTINGS, 0, 0, b""))
-
-    def _on_skb(self, skb) -> None:
-        if self._assembler is None:
-            self._assembler = StreamAssembler(F.HEADER_LEN, self._total_len, start_seq=skb.seq)
-        for msg in self._assembler.push(skb.data, skb.meta):
-            self._on_frame(msg)
-
-    @staticmethod
-    def _total_len(header: bytes) -> int:
-        parsed = F.parse_frame_header(header)
-        if parsed is None:
-            raise ValueError("bad HTTP/2 frame header")
-        return F.HEADER_LEN + parsed[0]
-
-    def _on_frame(self, msg) -> None:
-        raise NotImplementedError
-
-    def _queue(self, wire: bytes) -> None:
-        self._outq.append(wire)
-        self._flush()
-
-    def _flush(self) -> None:
-        while self._outq and self.conn.state in ("established", "close-wait"):
-            wire = self._outq[0]
-            if self.conn.send_space < len(wire):
-                return
-            self._outq.popleft()
-            sent = self.conn.send(wire)
-            if sent != len(wire):
-                raise RuntimeError("frame split across send buffer boundary")
-
-
 class Http2Server:
     """Serves synthetic bodies: a HEADERS request names a byte count."""
 
@@ -98,19 +38,31 @@ class Http2Server:
         self.host = host
         self.config = config or F.Http2Config()
         self.streams_served = 0
+        # When set, connections report framing desyncs here, not by raising.
+        self.on_error: Optional[Callable[[str], None]] = None
         host.tcp.listen(port, self._accept)
 
     def _accept(self, conn) -> None:
         _ServerConn(self, conn)
 
 
-class _ServerConn(_Http2Peer):
-    def __init__(self, server: Http2Server, conn):
-        super().__init__(server.host, conn, server.config)
-        self.server = server
-        self._since_update = 0
+class _ServerConn(StreamEndpoint):
+    protocol = "http2"
+    header_len = F.HEADER_LEN
+    _total_len = staticmethod(F.total_len)
 
-    def _on_frame(self, msg) -> None:
+    def __init__(self, server: Http2Server, conn):
+        super().__init__(server.host)
+        self.server = server
+        self.digest_cls = F.get_digest(server.config.digest_name)
+        self._since_update = 0
+        self._attach(conn)
+
+    @property
+    def on_error(self):
+        return self.server.on_error
+
+    def _on_message(self, msg, idx: int) -> None:
         wire = msg.wire
         _, ftype, flags, stream_id = F.parse_frame_header(wire[: F.HEADER_LEN])
         if ftype == F.TYPE_SETTINGS and not flags & F.FLAG_ACK:
@@ -119,6 +71,8 @@ class _ServerConn(_Http2Peer):
         if ftype != F.TYPE_HEADERS:
             return
         (length,) = struct.unpack(">I", wire[F.HEADER_LEN : F.HEADER_LEN + 4])
+        if length > self.server.config.max_response:
+            return  # HEADERS carry no FCS: a corrupted count must not be served
         self.core.charge(CYCLES_REQUEST, "app")
         self._queue(F.make_frame(F.TYPE_HEADERS, F.FLAG_END_HEADERS, stream_id, b"200"))
         self._send_body(stream_id, length)
@@ -149,19 +103,20 @@ class _ServerConn(_Http2Peer):
                 )
 
 
-class Http2Client(_Http2Peer):
+class Http2Client(StreamEndpoint):
     """Fetches streams; offloads DATA-frame FCS + placement when configured."""
+
+    protocol = "http2"
+    header_len = F.HEADER_LEN
+    _total_len = staticmethod(F.total_len)
 
     def __init__(self, host, server: str, port: int = 8080,
                  config: Optional[F.Http2Config] = None):
-        config = config or F.Http2Config()
-        conn = host.tcp.connect(server, port)
-        super().__init__(host, conn, config)
+        super().__init__(host)
+        self.config = config or F.Http2Config()
+        self.digest_cls = F.get_digest(self.config.digest_name)
         self._next_stream = 1  # client streams are odd
         self._fetches: dict[int, dict] = {}
-        self._rx_ctx = None
-        self._pending_rr: list[tuple[int, dict]] = []
-        self._pending_resync: list[int] = []
         self.stats = {
             "fetches": 0,
             "responses": 0,
@@ -169,27 +124,29 @@ class Http2Client(_Http2Peer):
             "placed_frames": 0,
             "software_frames": 0,
             "errors": 0,
-            "offload_degraded": 0,
         }
-        if config.rx_offload:
-            if getattr(host.nic, "driver", None) is None:
-                raise RuntimeError("HTTP/2 offload requires an OffloadNic")
+        if self.config.rx_offload:
+            self._driver()  # no OffloadNic: fail before the first packet
             plugin.require("http2")
+        self._attach(host.tcp.connect(server, port))
+
+    def _offload(self, direction: Direction):
+        if direction is Direction.RX and self.config.rx_offload:
+            return plugin.make_adapter("http2", config=self.config), None
+        return None  # requests are not TX-offloaded
 
     def _on_established(self) -> None:
-        super()._on_established()
-        if self.config.rx_offload:
-            self._install_offload()
+        self._queue(F.make_frame(F.TYPE_SETTINGS, 0, 0, b""))
+        self._install(Direction.RX)
 
-    def _install_offload(self) -> None:
-        adapter = plugin.make_adapter("http2", config=self.config)
-        self._rx_ctx = self.host.nic.driver.l5o_create(
-            self.conn, adapter, None, tcpsn=self.conn.rcv_nxt, direction=Direction.RX,
-            l5p_ops=self,
-        )
-        for stream_id, entry in self._pending_rr:
-            self.host.nic.driver.l5o_add_rr_state(self._rx_ctx, stream_id, entry)
-        self._pending_rr.clear()
+    def _installed(self, direction: Direction) -> None:
+        """Streams already in flight are placed too, each from the byte
+        its fetch has reached."""
+        for stream_id, fetch in self._fetches.items():
+            entry = fetch.get("entry")
+            if entry is not None:
+                entry["offset"] = fetch["received"]
+                self.host.nic.driver.l5o_add_rr_state(self._rx_ctx, stream_id, entry)
 
     # ------------------------------------------------------------------
     def fetch(self, length: int, on_done: Callable[[bytes, float], None]) -> int:
@@ -208,8 +165,6 @@ class Http2Client(_Http2Peer):
             fetch["entry"] = entry
             if self._rx_ctx is not None:
                 self.host.nic.driver.l5o_add_rr_state(self._rx_ctx, stream_id, entry)
-            else:
-                self._pending_rr.append((stream_id, entry))
         self._fetches[stream_id] = fetch
         self.core.charge(CYCLES_REQUEST, "app")
         self._queue(
@@ -219,8 +174,7 @@ class Http2Client(_Http2Peer):
         self.stats["fetches"] += 1
         return stream_id
 
-    def _on_frame(self, msg) -> None:
-        self._answer_resyncs(msg)
+    def _on_message(self, msg, idx: int) -> None:
         wire = msg.wire
         length, ftype, flags, stream_id = F.parse_frame_header(wire[: F.HEADER_LEN])
         if ftype != F.TYPE_DATA:
@@ -262,30 +216,3 @@ class Http2Client(_Http2Peer):
             self.stats["errors"] += 1
         latency = self.host.sim.now - fetch["issued_at"]
         fetch["on_done"](bytes(fetch["body"]), latency)
-
-    # ------------------------------------------------------------------
-    # Listing 2 upcalls
-    # ------------------------------------------------------------------
-    def l5o_get_tx_msgstate(self, tcpsn: int) -> Optional[TxMsgState]:
-        return None  # requests are not TX-offloaded
-
-    def l5o_resync_rx_req(self, tcpsn: int) -> None:
-        self._pending_resync.append(tcpsn)
-
-    def l5o_offload_degraded(self, direction: str, reason: str) -> None:
-        self.stats["offload_degraded"] += 1
-
-    def _answer_resyncs(self, msg) -> None:
-        if not self._pending_resync or self._rx_ctx is None:
-            return
-        driver = self.host.nic.driver
-        end = sq.add(msg.start_seq, msg.length)
-        still = []
-        for req in self._pending_resync:
-            if req == msg.start_seq:
-                driver.l5o_resync_rx_resp(self._rx_ctx, req, True, msg_index=0)
-            elif sq.lt(req, end):
-                driver.l5o_resync_rx_resp(self._rx_ctx, req, False)
-            else:
-                still.append(req)
-        self._pending_resync = still

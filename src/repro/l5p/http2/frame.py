@@ -115,6 +115,14 @@ def parse_frame_header(header: bytes) -> Optional[tuple[int, int, int, int]]:
     return length, ftype, flags, stream_word
 
 
+def total_len(header: bytes) -> int:
+    """Full on-wire frame length; :class:`ValueError` for a bad header."""
+    parsed = parse_frame_header(header)
+    if parsed is None:
+        raise ValueError("bad HTTP/2 frame header")
+    return HEADER_LEN + parsed[0]
+
+
 class _Http2Transform(MsgTransform):
     """Digests FCS DATA payloads and places them per stream.
 
@@ -236,7 +244,6 @@ PLUGIN = _plugin.register(
             "frames pass through untransformed",
         ),
         factory=Http2Adapter,
-        upcalls=("l5o_get_tx_msgstate", "l5o_resync_rx_req", "l5o_offload_degraded"),
         description="HTTP/2 DATA-frame CRC (FCS extension) and per-stream placement",
         info={"trailer_len": FCS_LEN, "ops": ("crc", "place")},
     )

@@ -13,12 +13,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.types import Direction, TxMsgState
-from repro.l5p.base import StreamAssembler
+from repro.core.types import Direction
+from repro.l5p.base import StreamEndpoint
 from repro.l5p.nvme_tcp import pdu as P
 from repro.l5p import plugin
 from repro.l5p.nvme_tcp.pdu import NvmeConfig
-from repro.tcp import seq as sq
 
 
 @dataclass
@@ -49,17 +48,18 @@ class NvmeHostStats:
     latencies: list = field(default_factory=list)
 
 
-class NvmeTcpHost:
+class NvmeTcpHost(StreamEndpoint):
     """One NVMe-TCP queue pair mapped to one TCP socket."""
 
+    protocol = "NVMe-TCP"
+    header_len = P.CH_LEN
+    _total_len = staticmethod(P.pdu_total_len)
+
     def __init__(self, host, config: Optional[NvmeConfig] = None, tls=None):
-        self.host = host
+        super().__init__(host)
         self.config = config or NvmeConfig()
         self.tls_config = tls
-        self.model = host.model
         self.digest_cls = P.get_digest(self.config.digest_name)
-        self.conn = None
-        self.core = None
         self.ktls = None
         self.ready = False
         self.on_ready: Optional[Callable[[], None]] = None
@@ -71,13 +71,6 @@ class NvmeTcpHost:
         self._free_cids: deque[int] = deque(range(self.config.queue_depth))
         self._inflight: dict[int, _Request] = {}
         self._waiting: deque[tuple] = deque()
-        self._outq: deque[tuple[bytes, bool]] = deque()  # (wire, track)
-        self._assembler: Optional[StreamAssembler] = None
-        self._rx_ctx = None
-        self._tx_ctx = None
-        self._tx_msgs: deque[tuple[int, int, bytes]] = deque()
-        self._tx_msg_count = 0
-        self._pending_resync: list[int] = []
         self.stats = NvmeHostStats()
 
     # ------------------------------------------------------------------
@@ -85,78 +78,45 @@ class NvmeTcpHost:
     # ------------------------------------------------------------------
     def connect(self, target: str, port: int = 4420, on_ready: Optional[Callable] = None) -> None:
         self.on_ready = on_ready
-        self.conn = self.host.tcp.connect(target, port)
-        self.core = self.host.core_for_flow(self.conn.flow)
+        conn = self.host.tcp.connect(target, port)
         if self.tls_config is not None:
-            self._connect_tls()
+            from repro.l5p.nvme_tls import over_tls
+
+            # The stacked kTLS socket owns the HW contexts; placement
+            # state is registered on its RX context as it appears.
+            self.ktls = over_tls(self, conn, "client", self.tls_config)
+            self.ktls.on_ready = self._go_ready
         else:
-            self.conn.on_data = self._on_skb
-            self.conn.on_established = self._go_ready
-            self.conn.on_writable = self._on_writable
+            self._attach(conn)
 
-    def _connect_tls(self) -> None:
-        from repro.l5p.nvme_tls import PlainTxMap
-        from repro.l5p.tls.ktls import KtlsSocket
-
-        adapter = None
-        self._tls_tx_map = PlainTxMap()
-        if self.tls_config.tx_offload or self.tls_config.rx_offload:
-            adapter = plugin.make_adapter("nvme-tls", nvme_config=self.config)
-            adapter.inner_tx_ops = self._tls_tx_map
-        self.ktls = KtlsSocket(self.host, self.conn, "client", self.tls_config, adapter=adapter)
-        self.ktls.on_record = self._on_tls_record
-        self.ktls.on_ready = self._go_ready
-        self.ktls.on_writable = self._on_writable
-        self.ktls.on_reattach = self._on_tls_reattach
-
-    def _on_tls_reattach(self, direction: str) -> None:
-        """Stacked NVMe-TLS: the kTLS socket re-installed its context
-        after a NIC reset; refresh our cached handles and re-register
-        in-flight READ placement state on the new RX context."""
-        if direction == Direction.RX.value:
-            self._rx_ctx = self.ktls._rx_ctx
-            if self._rx_ctx is not None and self.config.rx_offload_copy:
-                driver = self.host.nic.driver
-                for cid, req in self._inflight.items():
-                    if req.opcode == P.OPC_READ:
-                        driver.l5o_add_rr_state(self._rx_ctx, cid, req.buffer)
-        else:
-            self._tx_ctx = self.ktls._tx_ctx
+    def _on_established(self) -> None:
+        self._go_ready()
 
     def _go_ready(self) -> None:
-        self._install_offloads()
+        self._install(Direction.RX)
+        self._install(Direction.TX)
         self.ready = True
         if self.on_ready:
             self.on_ready()
         self._drain_waiting()
 
-    def _install_offloads(self) -> None:
-        driver = getattr(self.host.nic, "driver", None)
-        if self.tls_config is not None:
-            # Combined NVMe-TLS: the stacked adapter owns the HW contexts;
-            # placement state is registered on the TLS RX context.
-            self._rx_ctx = self.ktls._rx_ctx
-            self._tx_ctx = self.ktls._tx_ctx
-            return
-        if self.config.rx_offload:
-            if driver is None:
-                raise RuntimeError("NVMe RX offload requires an OffloadNic")
-            adapter = plugin.make_adapter("nvme-tcp", config=self.config, place=self.config.rx_offload_copy)
-            self._rx_ctx = driver.l5o_create(
-                self.conn, adapter, None, tcpsn=self.conn.rcv_nxt, direction=Direction.RX, l5p_ops=self
-            )
-        if self.config.tx_offload:
-            if driver is None:
-                raise RuntimeError("NVMe TX offload requires an OffloadNic")
-            adapter = plugin.make_adapter("nvme-tcp", config=self.config)
-            self._tx_ctx = driver.l5o_create(
-                self.conn,
-                adapter,
-                None,
-                tcpsn=self.conn.send_buffer.end_seq,
-                direction=Direction.TX,
-                l5p_ops=self,
-            )
+    def _offload(self, direction: Direction):
+        if direction is Direction.RX:
+            if not self.config.rx_offload:
+                return None
+            return plugin.make_adapter("nvme-tcp", config=self.config, place=self.config.rx_offload_copy), None
+        if not self.config.tx_offload:
+            return None
+        return plugin.make_adapter("nvme-tcp", config=self.config), None
+
+    def _installed(self, direction: Direction) -> None:
+        """In-flight READ buffers go back on a fresh RX context so
+        C2HData placement resumes (Figure 9)."""
+        if direction is Direction.RX and self._rx_ctx is not None and self.config.rx_offload_copy:
+            driver = self.host.nic.driver
+            for cid, req in self._inflight.items():
+                if req.opcode == P.OPC_READ:
+                    driver.l5o_add_rr_state(self._rx_ctx, cid, req.buffer)
 
     # ------------------------------------------------------------------
     # block I/O API
@@ -180,18 +140,14 @@ class NvmeTcpHost:
     def _drain_waiting(self) -> None:
         if not self.ready:
             return
+        transport = self.lower if self.lower is not None else self.conn
         while self._waiting and self._free_cids and not self._outq:
             opcode, slba, length, data, on_complete = self._waiting[0]
             wire_len = P.CH_LEN + P.PSH_LEN[P.TYPE_CAPSULE_CMD] + len(data) + P.DDGST_LEN
-            if self._send_space() < wire_len:
+            if transport.send_space < wire_len:
                 break
             self._waiting.popleft()
             self._issue(opcode, slba, length, data, on_complete)
-
-    def _send_space(self) -> int:
-        if self.ktls is not None:
-            return self.ktls.send_space
-        return self.conn.send_space
 
     def _issue(self, opcode, slba, length, data, on_complete) -> None:
         cid = self._free_cids.popleft()
@@ -205,10 +161,10 @@ class NvmeTcpHost:
             if self._rx_ctx is not None and self.config.rx_offload_copy:
                 self.host.nic.driver.l5o_add_rr_state(self._rx_ctx, cid, req.buffer)
             wire = P.build_pdu(P.TYPE_CAPSULE_CMD, P.make_sqe(opcode, cid, slba, length), b"", self.digest_cls, False)
-            # Tracked even though a READ capsule needs no transform: TX
-            # recovery must find message state covering *any* un-acked
-            # sequence (retransmits, post-reset reattach).
-            self._send_wire(wire, track=self._tx_ctx is not None)
+            # Logged by the core even though a READ capsule needs no
+            # transform: TX recovery must find message state covering
+            # *any* un-acked sequence (retransmits, post-reset reattach).
+            self._send_wire(wire)
         else:
             self.stats.writes += 1
             self.stats.bytes_written += length
@@ -220,7 +176,7 @@ class NvmeTcpHost:
                 wire = P.build_pdu(
                     P.TYPE_CAPSULE_CMD, P.make_sqe(opcode, cid, slba, length), b"", self.digest_cls, False
                 )
-                self._send_wire(wire, track=offloaded_tx)
+                self._send_wire(wire)
                 return
             wire = P.build_pdu(
                 P.TYPE_CAPSULE_CMD,
@@ -234,148 +190,34 @@ class NvmeTcpHost:
             self.core.charge(length * self.host.llc.copy_cpb(), "copy")
             if not offloaded_tx and self.config.data_digest:
                 self.core.charge(length * self.host.llc.touch_cpb(self.model.cpb_crc32c), "crc")
-            self._send_wire(wire, track=offloaded_tx)
+            self._send_wire(wire)
 
-    def _send_wire(self, wire: bytes, track: bool = False) -> None:
+    def _send_wire(self, wire: bytes) -> None:
         """Queue one PDU for transmission with backpressure."""
         self.core.charge(self.model.cycles_pdu, "l5p")
-        self._outq.append((wire, track))
-        self._flush_out()
+        self._queue(wire)
 
-    def _flush_out(self) -> None:
-        while self._outq:
-            wire, track = self._outq[0]
-            if self.ktls is not None:
-                if not self.ktls.ready or self.ktls.send_space < len(wire):
-                    return
-                self._outq.popleft()
-                if track:
-                    self._track_tls_tx(wire)
-                sent = self.ktls.send(wire)
-                if track:
-                    oldest = self.ktls._tx_msgs[0][3] if self.ktls._tx_msgs else self.ktls._tx_plain_sent
-                    self._tls_tx_map.prune(oldest)
-            else:
-                if self.conn.send_space < len(wire):
-                    return
-                self._outq.popleft()
-                if track:
-                    start = self.conn.send_buffer.end_seq
-                    self._tx_msgs.append((start, self._tx_msg_count, wire))
-                    self._tx_msg_count += 1
-                sent = self.conn.send(wire)
-            if sent != len(wire):
-                raise RuntimeError("PDU split across send buffer boundary")
-
-    def _track_tls_tx(self, wire: bytes) -> None:
-        # Record the PDU's plaintext-stream start so the stacked adapter
-        # can replay the covering PDU during inner TX recovery (§5.3).
-        self._tls_tx_map.track(self.ktls.stats.bytes_tx, wire)
-
-    def _on_writable(self) -> None:
-        una = self.conn.snd_una
-        while self._tx_msgs and sq.le(sq.add(self._tx_msgs[0][0], len(self._tx_msgs[0][2])), una):
-            self._tx_msgs.popleft()
-        self._flush_out()
+    def _writable(self) -> None:
         self._drain_waiting()
 
-    # ------------------------------------------------------------------
-    # Listing 2 upcalls
-    # ------------------------------------------------------------------
-    def l5o_get_tx_msgstate(self, tcpsn: int) -> Optional[TxMsgState]:
-        for start, idx, wire in self._tx_msgs:
-            if sq.between(start, tcpsn, sq.add(start, len(wire))):
-                return TxMsgState(start_seq=start, msg_index=idx, wire_bytes=wire)
-        return None
+    def _fail(self, reason: str) -> None:
+        if self.on_error is not None:
+            self.stats.io_failures += 1
+        super()._fail(reason)
 
     def l5o_offload_degraded(self, direction: str, reason: str) -> None:
-        """The driver gave up on this flow's offload (paper §5.3's
-        permanent software fallback); the queue pair keeps working."""
-        self.stats.offload_degraded += 1
-
-    def l5o_nic_reattach(self, direction: str):
-        """Re-install this queue pair's context after a NIC reset.
-
-        TX restarts at the head of the un-acked PDU queue, RX at the
-        next PDU boundary the assembler expects; in-flight READ buffers
-        are re-registered so C2HData placement resumes (Figure 9).  In
-        stacked NVMe-TLS mode the kTLS socket owns the contexts and gets
-        the upcall instead (see :meth:`_on_tls_reattach`)."""
-        if not self.ready or self.conn is None or self.conn.state == "closed":
-            return None
-        if self.tls_config is not None:
-            return None  # the stacked KtlsSocket re-installs for us
-        driver = self.host.nic.driver
-        if direction == Direction.RX.value:
-            adapter = plugin.make_adapter("nvme-tcp", config=self.config, place=self.config.rx_offload_copy)
-            tcpsn = self._assembler.next_msg_seq if self._assembler else self.conn.rcv_nxt
-            self._rx_ctx = driver.l5o_create(
-                self.conn,
-                adapter,
-                None,
-                tcpsn=tcpsn,
-                direction=Direction.RX,
-                l5p_ops=self,
-                msg_index=self.stats.pdus_rx,
-            )
-            if self.config.rx_offload_copy:
-                for cid, req in self._inflight.items():
-                    if req.opcode == P.OPC_READ:
-                        driver.l5o_add_rr_state(self._rx_ctx, cid, req.buffer)
-            return self._rx_ctx
-        adapter = plugin.make_adapter("nvme-tcp", config=self.config)
-        if self._tx_msgs:
-            start, idx, _wire = self._tx_msgs[0]
-        else:
-            start, idx = self.conn.send_buffer.end_seq, self._tx_msg_count
-        self._tx_ctx = driver.l5o_create(
-            self.conn,
-            adapter,
-            None,
-            tcpsn=start,
-            direction=Direction.TX,
-            l5p_ops=self,
-            msg_index=idx,
-        )
-        self._tx_ctx.created_seq = start
-        return self._tx_ctx
-
-    def l5o_resync_rx_req(self, tcpsn: int) -> None:
-        self._pending_resync.append(tcpsn)
+        super().l5o_offload_degraded(direction, reason)
+        self.stats.offload_degraded = self.offload_degraded
 
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def _on_skb(self, skb) -> None:
-        if self._assembler is None:
-            self._assembler = StreamAssembler(P.CH_LEN, P.pdu_total_len, start_seq=skb.seq)
-        self._ingest(skb.data, skb.meta)
-
-    def _on_tls_record(self, runs) -> None:
-        if self._assembler is None:
-            self._assembler = StreamAssembler(P.CH_LEN, P.pdu_total_len, start_seq=0)
-        for run in runs:
-            self._ingest(run.data, run.meta)
-
-    def _ingest(self, data, meta) -> None:
-        try:
-            messages = self._assembler.push(data, meta)
-        except ValueError as exc:
-            if self.on_error is not None:
-                self.stats.io_failures += 1
-                self.on_error(f"NVMe-TCP stream framing error: {exc}")
-                return
-            raise RuntimeError(f"NVMe-TCP stream framing error: {exc}") from None
-        for msg in messages:
-            self._on_pdu(msg)
-
-    def _on_pdu(self, msg) -> None:
+    def _on_message(self, msg, idx: int) -> None:
         self.stats.pdus_rx += 1
         self.core.charge(self.model.cycles_pdu, "l5p")
         wire = msg.wire
         pdu_type = wire[0]
         has_digest = bool(wire[1] & P.FLAG_DDGST)
-        self._answer_resyncs(msg)
         if pdu_type == P.TYPE_C2H_DATA:
             self._on_c2h_data(msg, has_digest)
         elif pdu_type == P.TYPE_CAPSULE_RESP:
@@ -434,7 +276,7 @@ class NvmeTcpHost:
         self.core.charge(length * self.host.llc.copy_cpb(), "copy")
         if not offloaded_tx and self.config.data_digest:
             self.core.charge(length * self.host.llc.touch_cpb(self.model.cpb_crc32c), "crc")
-        self._send_wire(wire_out, track=offloaded_tx)
+        self._send_wire(wire_out)
 
     def _on_resp(self, wire: bytes) -> None:
         psh = wire[P.CH_LEN : P.CH_LEN + P.PSH_LEN[P.TYPE_CAPSULE_RESP]]
@@ -449,30 +291,10 @@ class NvmeTcpHost:
         latency = self.host.sim.now - req.issued_at
         self.stats.latencies.append(latency)
         if status != 0 or req.data_failures:
-            if self.on_error is not None:
-                self.stats.io_failures += 1
-                self.on_error(f"NVMe I/O cid={cid} failed (status={status})")
-                self._drain_waiting()
-                return
-            raise RuntimeError(f"NVMe I/O cid={cid} failed (status={status})")
-        if req.opcode == P.OPC_READ:
+            self._fail(f"NVMe I/O cid={cid} failed (status={status})")
+        elif req.opcode == P.OPC_READ:
             self.stats.bytes_read += req.length
             req.on_complete(bytes(req.buffer), latency)
         else:
             req.on_complete(latency)
         self._drain_waiting()
-
-    def _answer_resyncs(self, msg) -> None:
-        if not self._pending_resync or self._rx_ctx is None or self.tls_config is not None:
-            return
-        driver = self.host.nic.driver
-        end = sq.add(msg.start_seq, msg.length)
-        still = []
-        for req_seq in self._pending_resync:
-            if req_seq == msg.start_seq:
-                driver.l5o_resync_rx_resp(self._rx_ctx, req_seq, True, msg_index=self.stats.pdus_rx - 1)
-            elif sq.lt(req_seq, end):
-                driver.l5o_resync_rx_resp(self._rx_ctx, req_seq, False)
-            else:
-                still.append(req_seq)
-        self._pending_resync = still

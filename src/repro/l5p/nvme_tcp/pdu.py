@@ -270,7 +270,6 @@ PLUGIN = _plugin.register(
             notes="CRC32C digests + CID-keyed data placement (§5.1)",
         ),
         factory=lambda config=None, **kw: NvmeAdapter(config or NvmeConfig(), **kw),
-        upcalls=("l5o_get_tx_msgstate", "l5o_resync_rx_req", "l5o_offload_degraded"),
         description="NVMe-TCP HDGST/DDGST CRC offload and direct data placement",
         info={"ops": ("crc", "place")},
     )

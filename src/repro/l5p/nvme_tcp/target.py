@@ -7,18 +7,17 @@ numbers are drive- or NIC-bound)."""
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.core.types import Direction, TxMsgState
-from repro.l5p.base import StreamAssembler
+from repro.core.types import Direction
+from repro.l5p.base import StreamEndpoint
 from repro.l5p.nvme_tcp import pdu as P
 from repro.l5p import plugin
 from repro.l5p.nvme_tcp.pdu import NvmeConfig
 from repro.storage.blockdev import BlockDevice
-from repro.tcp import seq as sq
 
 MAX_C2H_DATA = 1 << 20  # split read payloads into PDUs of at most 1 MiB
+MAX_TRANSFER = 1 << 27  # largest single command served (MDTS)
 
 
 class NvmeTcpTarget:
@@ -38,6 +37,9 @@ class NvmeTcpTarget:
         self.tls_config = tls
         self.port = port
         self.connections: list[_TargetConn] = []
+        # When set, every connection reports detected failures (framing
+        # desync) here instead of raising.
+        self.on_error: Optional[Callable[[str], None]] = None
 
     def start(self) -> None:
         self.host.tcp.listen(self.port, self._accept)
@@ -46,83 +48,44 @@ class NvmeTcpTarget:
         self.connections.append(_TargetConn(self, conn))
 
 
-class _TargetConn:
+class _TargetConn(StreamEndpoint):
     """One initiator connection on the target."""
 
+    protocol = "NVMe-TCP"
+    header_len = P.CH_LEN
+    _total_len = staticmethod(P.pdu_total_len)
+
     def __init__(self, target: NvmeTcpTarget, conn):
+        super().__init__(target.host)
         self.target = target
-        self.host = target.host
-        self.model = self.host.model
         self.config = target.config
         self.digest_cls = P.get_digest(self.config.digest_name)
-        self.conn = conn
-        self.core = self.host.core_for_flow(conn.flow)
         self.ktls = None
-        self._assembler: Optional[StreamAssembler] = None
-        self._outq: deque[bytes] = deque()
-        self._tx_ctx = None
-        self._tx_msgs: deque[tuple[int, int, bytes]] = deque()
-        self._tx_msg_count = 0
         self._pending_writes: dict[int, tuple[int, bytearray, int]] = {}  # cid -> (slba, buf, received)
         self.commands_served = 0
-        self.offload_degraded = 0
 
         if target.tls_config is not None:
-            from repro.l5p.nvme_tls import PlainTxMap
-            from repro.l5p.tls.ktls import KtlsSocket
+            from repro.l5p.nvme_tls import over_tls
 
-            adapter = None
-            self._tls_tx_map = PlainTxMap()
-            if target.tls_config.tx_offload or target.tls_config.rx_offload:
-                adapter = plugin.make_adapter("nvme-tls", nvme_config=self.config)
-                adapter.inner_tx_ops = self._tls_tx_map
-            self.ktls = KtlsSocket(self.host, conn, "server", target.tls_config, adapter=adapter)
-            self.ktls.on_record = self._on_tls_record
-            self.ktls.on_writable = self._flush
-            self.ktls.on_ready = self._install_offloads
-            self.ktls.on_reattach = self._on_tls_reattach
+            self.ktls = over_tls(self, conn, "server", target.tls_config)
         else:
-            conn.on_data = self._on_skb
-            conn.on_writable = self._on_writable
-            self.host.sim.call_soon(self._install_offloads)
+            self._attach(conn)
+            self.host.sim.call_soon(self._install, Direction.TX)
 
-    def _install_offloads(self) -> None:
-        if self.ktls is not None:
-            self._tx_ctx = self.ktls._tx_ctx
-            return
-        if self.config.tx_offload:
-            driver = getattr(self.host.nic, "driver", None)
-            if driver is None:
-                raise RuntimeError("target TX offload requires an OffloadNic")
-            adapter = plugin.make_adapter("nvme-tcp", config=self.config)
-            self._tx_ctx = driver.l5o_create(
-                self.conn,
-                adapter,
-                None,
-                tcpsn=self.conn.send_buffer.end_seq,
-                direction=Direction.TX,
-                l5p_ops=self,
-            )
+    @property
+    def on_error(self):
+        return self.target.on_error
+
+    def _offload(self, direction: Direction):
+        """TX only: the target installs no RX contexts."""
+        if direction is Direction.TX and self.config.tx_offload:
+            return plugin.make_adapter("nvme-tcp", config=self.config), None
+        return None
 
     # ------------------------------------------------------------------
     # receive: commands from the initiator
     # ------------------------------------------------------------------
-    def _on_skb(self, skb) -> None:
-        if self._assembler is None:
-            self._assembler = StreamAssembler(P.CH_LEN, P.pdu_total_len, start_seq=skb.seq)
-        self._ingest(skb.data, skb.meta)
-
-    def _on_tls_record(self, runs) -> None:
-        if self._assembler is None:
-            self._assembler = StreamAssembler(P.CH_LEN, P.pdu_total_len, start_seq=0)
-        for run in runs:
-            self._ingest(run.data, run.meta)
-
-    def _ingest(self, data, meta) -> None:
-        for msg in self._assembler.push(data, meta):
-            self._on_pdu(msg)
-
-    def _on_pdu(self, msg) -> None:
+    def _on_message(self, msg, idx: int) -> None:
         wire = msg.wire
         if wire[0] == P.TYPE_H2C_DATA:
             self._on_h2c_data(wire)
@@ -133,6 +96,11 @@ class _TargetConn:
         psh = wire[P.CH_LEN : P.CH_LEN + P.PSH_LEN[P.TYPE_CAPSULE_CMD]]
         opcode, cid, slba, length = P.parse_sqe(psh)
         self.core.charge(self.model.cycles_block_io, "stack")
+        if length > MAX_TRANSFER or slba + length > self.target.device.capacity_bytes:
+            # No digest covers the capsule header: a corrupted address or
+            # count fails the command, never the target.
+            self._respond(cid, 1)
+            return
         if opcode == P.OPC_READ:
             self.target.device.read(slba, length, lambda data: self._read_done(cid, data))
         elif opcode == P.OPC_WRITE:
@@ -145,7 +113,7 @@ class _TargetConn:
                 r2t = P.build_pdu(
                     P.TYPE_R2T, P.make_r2t_psh(cid, 0, length), b"", self.digest_cls, False
                 )
-                self._queue(r2t, track=self._tx_ctx is not None)
+                self._send_pdu(r2t)
                 return
             del in_capsule
             data = wire[data_start : data_start + length]
@@ -205,7 +173,7 @@ class _TargetConn:
             self.core.charge(len(chunk) * self.host.llc.copy_cpb(), "copy")
             if not offloaded_tx and self.config.data_digest:
                 self.core.charge(len(chunk) * self.host.llc.touch_cpb(self.model.cpb_crc32c), "crc")
-            self._queue(pdu, track=offloaded_tx)
+            self._send_pdu(pdu)
             offset += len(chunk)
         self._respond(cid, 0)
 
@@ -214,90 +182,9 @@ class _TargetConn:
         self._respond(cid, 0)
 
     def _respond(self, cid: int, status: int) -> None:
-        pdu = P.build_pdu(P.TYPE_CAPSULE_RESP, P.make_cqe(cid, status), b"", self.digest_cls, False)
-        self._queue(pdu, track=self._tx_ctx is not None)
+        self._send_pdu(P.build_pdu(P.TYPE_CAPSULE_RESP, P.make_cqe(cid, status), b"", self.digest_cls, False))
 
-    # ------------------------------------------------------------------
-    # transmit with backpressure
-    # ------------------------------------------------------------------
-    def _queue(self, pdu: bytes, track: bool = False) -> None:
+    def _send_pdu(self, pdu: bytes) -> None:
+        """Queue one PDU for transmission with backpressure."""
         self.core.charge(self.model.cycles_pdu, "l5p")
-        self._outq.append((pdu, track))
-        self._flush()
-
-    def _flush(self) -> None:
-        while self._outq:
-            pdu, track = self._outq[0]
-            if self.ktls is not None:
-                if not self.ktls.ready or self.ktls.send_space < len(pdu):
-                    return
-                self._outq.popleft()
-                if track:
-                    self._tls_tx_map.track(self.ktls.stats.bytes_tx, pdu)
-                sent = self.ktls.send(pdu)
-                if track:
-                    oldest = self.ktls._tx_msgs[0][3] if self.ktls._tx_msgs else self.ktls._tx_plain_sent
-                    self._tls_tx_map.prune(oldest)
-            else:
-                if self.conn.send_space < len(pdu):
-                    return
-                self._outq.popleft()
-                if track:
-                    start = self.conn.send_buffer.end_seq
-                    self._tx_msgs.append((start, self._tx_msg_count, pdu))
-                    self._tx_msg_count += 1
-                sent = self.conn.send(pdu)
-            if sent != len(pdu):
-                raise RuntimeError("PDU split across send buffer boundary")
-
-    def _on_writable(self) -> None:
-        una = self.conn.snd_una
-        while self._tx_msgs and sq.le(sq.add(self._tx_msgs[0][0], len(self._tx_msgs[0][2])), una):
-            self._tx_msgs.popleft()
-        self._flush()
-
-    # ------------------------------------------------------------------
-    # Listing 2 upcalls (target TX recovery)
-    # ------------------------------------------------------------------
-    def l5o_get_tx_msgstate(self, tcpsn: int) -> Optional[TxMsgState]:
-        for start, idx, wire in self._tx_msgs:
-            if sq.between(start, tcpsn, sq.add(start, len(wire))):
-                return TxMsgState(start_seq=start, msg_index=idx, wire_bytes=wire)
-        return None
-
-    def l5o_nic_reattach(self, direction: str):
-        """Re-install the target's TX context after a NIC reset (the
-        target installs no RX contexts).  Restarts at the head of the
-        un-acked PDU queue, same proof as the initiator side."""
-        if direction != Direction.TX.value or self.conn.state == "closed":
-            return None
-        if self.ktls is not None:
-            return None  # the stacked KtlsSocket re-installs for us
-        driver = self.host.nic.driver
-        adapter = plugin.make_adapter("nvme-tcp", config=self.config)
-        if self._tx_msgs:
-            start, idx, _wire = self._tx_msgs[0]
-        else:
-            start, idx = self.conn.send_buffer.end_seq, self._tx_msg_count
-        self._tx_ctx = driver.l5o_create(
-            self.conn,
-            adapter,
-            None,
-            tcpsn=start,
-            direction=Direction.TX,
-            l5p_ops=self,
-            msg_index=idx,
-        )
-        return self._tx_ctx
-
-    def _on_tls_reattach(self, direction: str) -> None:
-        if direction == Direction.TX.value:
-            self._tx_ctx = self.ktls._tx_ctx
-
-    def l5o_resync_rx_req(self, tcpsn: int) -> None:
-        pass  # the target installs no RX contexts
-
-    def l5o_offload_degraded(self, direction: str, reason: str) -> None:
-        """Driver auto-disabled this connection's TX CRC offload (§5.3);
-        subsequent PDUs carry software-computed digests."""
-        self.offload_degraded += 1
+        self._queue(pdu)

@@ -27,6 +27,8 @@ from typing import Optional
 from repro.core.context import HwContext
 from repro.core.types import Direction, MsgTransform, TxMsgState
 from repro.core.walker import walk
+from repro.l5p import plugin as _plugin
+from repro.l5p.base import TxLog
 from repro.l5p.nvme_tcp.pdu import NvmeAdapter, NvmeConfig
 from repro.l5p.tls.record import TlsAdapter
 from repro.net.packet import FlowKey
@@ -35,42 +37,31 @@ from repro.tcp import seq as sq
 _INNER_FLOW = FlowKey("inner", 0, "inner", 0)
 
 
-class InnerTxOps:
-    """What the NVMe software provides for inner TX recovery: a message
-    map keyed by plaintext-stream offsets instead of TCP sequence
-    numbers."""
+class PlainTxMap(TxLog):
+    """The TX log of an NVMe endpoint that rides kTLS, as inner TX
+    recovery sees it: PDUs keyed by the TLS plaintext-stream offset they
+    start at instead of a TCP sequence number; the covering PDU's prefix
+    is replayed from here."""
 
-    def nvme_get_tx_msgstate(self, plain_offset: int) -> Optional[TxMsgState]:
-        raise NotImplementedError
+    nvme_get_tx_msgstate = TxLog.lookup
 
 
-class PlainTxMap(InnerTxOps):
-    """PDU map keyed by plaintext-stream offsets (monotonic, no wrap).
+def over_tls(endpoint, conn, role: str, tls_config):
+    """Carry an NVMe-TCP ``endpoint`` over a kTLS socket on ``conn``.
 
-    The NVMe software records each PDU it hands to kTLS together with
-    the TLS plaintext offset it starts at; inner TX recovery replays the
-    covering PDU's prefix from here."""
+    With either TLS offload on, the socket gets the stacked adapter and
+    the endpoint's TX log doubles as the adapter's inner message map.
+    Returns the socket; it owns the HW contexts (see
+    :class:`~repro.l5p.base.StreamEndpoint`)."""
+    from repro.l5p.tls.ktls import KtlsSocket
 
-    def __init__(self) -> None:
-        from collections import deque
-
-        self._msgs = deque()
-        self._count = 0
-
-    def track(self, plain_start: int, wire: bytes) -> None:
-        self._msgs.append((plain_start, self._count, wire))
-        self._count += 1
-
-    def nvme_get_tx_msgstate(self, plain_offset: int) -> Optional[TxMsgState]:
-        for start, idx, wire in self._msgs:
-            if start <= plain_offset < start + len(wire):
-                return TxMsgState(start_seq=start, msg_index=idx, wire_bytes=wire)
-        return None
-
-    def prune(self, keep_from: int) -> None:
-        """Drop PDUs entirely before plaintext offset ``keep_from``."""
-        while self._msgs and self._msgs[0][0] + len(self._msgs[0][2]) <= keep_from:
-            self._msgs.popleft()
+    adapter = None
+    if tls_config.tx_offload or tls_config.rx_offload:
+        adapter = _plugin.make_adapter("nvme-tls", nvme_config=endpoint.config)
+        endpoint._tx = adapter.inner_tx_ops = PlainTxMap()
+    ktls = KtlsSocket(endpoint.host, conn, role, tls_config, adapter=adapter)
+    endpoint._attach(conn, lower=ktls)
+    return ktls
 
 
 class _StackedTransform(MsgTransform):
@@ -112,7 +103,7 @@ class NvmeTlsAdapter(TlsAdapter):
         self._inner_enabled: dict[Direction, bool] = {Direction.TX: True, Direction.RX: True}
         self._pkt_inner_ok = True
         self._pkt_inner_touched = False
-        self.inner_tx_ops: Optional[InnerTxOps] = None
+        self.inner_tx_ops: Optional[PlainTxMap] = None
         self.inner_disables = 0
         # The TLS HW context's rr_state (shared with the inner walker so
         # l5o_add_rr_state CID registrations reach placement).
@@ -202,7 +193,6 @@ class NvmeTlsAdapter(TlsAdapter):
         self._inner_enabled[Direction.TX] = True
 
 
-from repro.l5p import plugin as _plugin
 from repro.l5p.tls.record import HEADER_LEN as _TLS_HEADER_LEN, TAG_LEN as _TAG_LEN
 
 #: Outer framing is TLS, so the stacked protocol inherits the TLS magic.
@@ -227,8 +217,6 @@ PLUGIN = _plugin.register(
         factory=lambda nvme_config=None, **kw: NvmeTlsAdapter(
             nvme_config or NvmeConfig(), **kw
         ),
-        upcalls=("l5o_get_tx_msgstate", "l5o_resync_rx_req", "l5o_offload_degraded",
-                 "l5o_nic_reattach"),
         description="Stacked NVMe-TCP-over-TLS offload (both layers autonomous)",
         info={"trailer_len": _TAG_LEN, "ops": ("encrypt", "decrypt", "crc", "place")},
     )

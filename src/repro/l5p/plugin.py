@@ -4,8 +4,10 @@ The paper's Table 3 offloadability preconditions are an *interface*,
 not a property of TLS and NVMe-TCP specifically.  This module is that
 interface's executable form: a protocol joins the simulator by
 declaring an :class:`L5Protocol` — its magic-pattern spec, fixed header
-length, adapter factory, Table-3 precondition checklist, and the
-Listing-2 upcalls its endpoints answer — and calling :func:`register`.
+length, adapter factory and Table-3 precondition checklist — and calling
+:func:`register`.  (The Listing-2 upcalls are not declared: every stream
+endpoint inherits all four from
+:class:`~repro.l5p.base.StreamEndpoint`.)
 Everything downstream resolves protocols through the registry:
 
 - the driver refuses ``l5o_create`` for adapters whose ``name`` was
@@ -123,10 +125,6 @@ class Table3Preconditions:
         ]
 
 
-#: Upcalls (Listing 2) every stream endpoint must answer at minimum.
-REQUIRED_UPCALLS = ("l5o_get_tx_msgstate", "l5o_resync_rx_req")
-
-
 @dataclass(frozen=True)
 class L5Protocol:
     """One registered layer-5 protocol: the full plugin declaration."""
@@ -137,8 +135,6 @@ class L5Protocol:
     preconditions: Table3Preconditions
     #: Zero-arg-callable (kwargs optional) returning a fresh adapter.
     factory: Callable[..., L5pAdapter]
-    #: Listing-2 upcalls this protocol's endpoints implement.
-    upcalls: tuple = REQUIRED_UPCALLS
     description: str = ""
     #: Extra declaration data (e.g. trailer length, offloaded ops).
     info: dict = field(default_factory=dict, compare=False)
@@ -158,9 +154,6 @@ class L5Protocol:
                 f"protocol {self.name!r}: magic pattern ({len(self.magic.pattern)}B) "
                 f"exceeds header_len ({self.header_len}B)"
             )
-        for upcall in REQUIRED_UPCALLS:
-            if upcall not in self.upcalls:
-                raise PluginError(f"protocol {self.name!r} must declare upcall {upcall!r}")
         probe = self.factory()
         if not isinstance(probe, L5pAdapter):
             raise PluginError(f"protocol {self.name!r}: factory returned {type(probe).__name__}")

@@ -14,70 +14,16 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from repro.core.types import Direction, TxMsgState
+from repro.core.types import Direction
 from repro.l5p import plugin
-from repro.l5p.base import StreamAssembler
+from repro.l5p.base import StreamEndpoint
 from repro.l5p.resp import frame as F
-from repro.tcp import seq as sq
 
 #: Dispatch cost (cycles): full software parse+hash+enqueue vs riding
 #: the NIC's steering decision straight to the owning queue.
 CYCLES_DISPATCH_SW = 420
 CYCLES_DISPATCH_STEERED = 60
 CYCLES_COMMAND = 250
-
-
-class _RespPeer:
-    """Shared assembler/backpressure machinery (mirrors the RPC peer)."""
-
-    def __init__(self, host, conn, config: F.RespConfig):
-        self.host = host
-        self.conn = conn
-        self.config = config
-        self.model = host.model
-        self.core = host.core_for_flow(conn.flow)
-        self._assembler: Optional[StreamAssembler] = None
-        self._outq: deque[bytes] = deque()
-        conn.on_data = self._on_skb
-        conn.on_writable = self._flush
-        previous = conn.on_established
-
-        def established():
-            if previous:
-                previous()
-            self._flush()
-
-        conn.on_established = established
-
-    def _on_skb(self, skb) -> None:
-        if self._assembler is None:
-            self._assembler = StreamAssembler(F.HEADER_LEN, self._total_len, start_seq=skb.seq)
-        for msg in self._assembler.push(skb.data, skb.meta):
-            self._on_frame(msg)
-
-    @staticmethod
-    def _total_len(header: bytes) -> int:
-        length = F.parse_header(header)
-        if length is None:
-            raise ValueError("bad RESP envelope")
-        return F.HEADER_LEN + length + F.TRAILER_LEN
-
-    def _on_frame(self, msg) -> None:
-        raise NotImplementedError
-
-    def _queue(self, wire: bytes) -> None:
-        self._outq.append(wire)
-        self._flush()
-
-    def _flush(self) -> None:
-        while self._outq and self.conn.state in ("established", "close-wait"):
-            wire = self._outq[0]
-            if self.conn.send_space < len(wire):
-                return
-            self._outq.popleft()
-            sent = self.conn.send(wire)
-            if sent != len(wire):
-                raise RuntimeError("frame split across send buffer boundary")
 
 
 class RespServer:
@@ -95,8 +41,9 @@ class RespServer:
             "gets": 0,
             "sets": 0,
             "misses": 0,
-            "offload_degraded": 0,
         }
+        # When set, connections report framing desyncs here, not by raising.
+        self.on_error: Optional[Callable[[str], None]] = None
         if self.config.rx_offload_steer:
             plugin.require("resp")
         host.tcp.listen(port, self._accept)
@@ -105,30 +52,32 @@ class RespServer:
         _ServerConn(self, conn)
 
 
-class _ServerConn(_RespPeer):
+class _ServerConn(StreamEndpoint):
+    protocol = "resp"
+    header_len = F.HEADER_LEN
+    _total_len = staticmethod(F.total_len)
+
     def __init__(self, server: RespServer, conn):
-        super().__init__(server.host, conn, server.config)
+        super().__init__(server.host)
         self.server = server
-        self._rx_ctx = None
-        self._pending_resync: list[int] = []
-        if server.config.rx_offload_steer:
-            if getattr(self.host.nic, "driver", None) is None:
-                raise RuntimeError("RESP steering requires an OffloadNic")
-            # Accept fires at establishment, so rcv_nxt is the first data
-            # byte.  A client that pipelines on the handshake-completing
-            # ACK slips that packet past the fresh context; the engine
-            # recovers through the ordinary resync path (§4.2).
-            self._install_offload()
+        self.config = server.config
+        self._attach(conn)
+        # Accept fires at establishment, so rcv_nxt is the first data
+        # byte.  A client that pipelines on the handshake-completing ACK
+        # slips that packet past the fresh context; the engine recovers
+        # through the ordinary resync path (§4.2).
+        self._install(Direction.RX)
 
-    def _install_offload(self) -> None:
-        adapter = plugin.make_adapter("resp", config=self.config)
-        self._rx_ctx = self.host.nic.driver.l5o_create(
-            self.conn, adapter, None, tcpsn=self.conn.rcv_nxt, direction=Direction.RX,
-            l5p_ops=self,
-        )
+    @property
+    def on_error(self):
+        return self.server.on_error
 
-    def _on_frame(self, msg) -> None:
-        self._answer_resyncs(msg)
+    def _offload(self, direction: Direction):
+        if direction is Direction.RX and self.config.rx_offload_steer:
+            return plugin.make_adapter("resp", config=self.config), None
+        return None  # replies are not TX-offloaded
+
+    def _on_message(self, msg, idx: int) -> None:
         stats = self.server.stats
         payload = msg.wire[F.HEADER_LEN : F.HEADER_LEN + (msg.length - F.HEADER_LEN - F.TRAILER_LEN)]
         stats["commands"] += 1
@@ -168,44 +117,21 @@ class _ServerConn(_RespPeer):
         self.core.charge(len(reply) * self.model.cpb_serialize, "app")
         self._queue(F.make_frame(reply))
 
-    # ------------------------------------------------------------------
-    # Listing 2 upcalls
-    # ------------------------------------------------------------------
-    def l5o_get_tx_msgstate(self, tcpsn: int) -> Optional[TxMsgState]:
-        return None  # replies are not TX-offloaded
 
-    def l5o_resync_rx_req(self, tcpsn: int) -> None:
-        self._pending_resync.append(tcpsn)
-
-    def l5o_offload_degraded(self, direction: str, reason: str) -> None:
-        self.server.stats["offload_degraded"] += 1
-
-    def _answer_resyncs(self, msg) -> None:
-        if not self._pending_resync or self._rx_ctx is None:
-            return
-        driver = self.host.nic.driver
-        end = sq.add(msg.start_seq, msg.length)
-        still = []
-        for req in self._pending_resync:
-            if req == msg.start_seq:
-                driver.l5o_resync_rx_resp(self._rx_ctx, req, True, msg_index=0)
-            elif sq.lt(req, end):
-                driver.l5o_resync_rx_resp(self._rx_ctx, req, False)
-            else:
-                still.append(req)
-        self._pending_resync = still
-
-
-class RespClient(_RespPeer):
+class RespClient(StreamEndpoint):
     """Pipelines inline commands; replies return in order."""
+
+    protocol = "resp"
+    header_len = F.HEADER_LEN
+    _total_len = staticmethod(F.total_len)
 
     def __init__(self, host, server: str, port: int = 6379,
                  config: Optional[F.RespConfig] = None):
-        config = config or F.RespConfig()
-        conn = host.tcp.connect(server, port)
-        super().__init__(host, conn, config)
+        super().__init__(host)
+        self.config = config or F.RespConfig()
         self._inflight: deque[dict] = deque()  # one entry per expected reply
         self.stats = {"commands": 0, "replies": 0, "errors": 0}
+        self._attach(host.tcp.connect(server, port))
 
     def pipeline(self, commands: list, on_done: Callable[[list, float], None]) -> None:
         """Send ``commands`` back-to-back; ``on_done(replies, latency)``
@@ -226,7 +152,7 @@ class RespClient(_RespPeer):
             self.stats["commands"] += 1
         self._queue(bytes(wire))
 
-    def _on_frame(self, msg) -> None:
+    def _on_message(self, msg, idx: int) -> None:
         payload = msg.wire[F.HEADER_LEN : F.HEADER_LEN + (msg.length - F.HEADER_LEN - F.TRAILER_LEN)]
         self.core.charge(len(payload) * self.model.cpb_deserialize, "app")
         self.stats["replies"] += 1

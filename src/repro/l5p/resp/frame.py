@@ -66,6 +66,14 @@ def parse_header(header: bytes) -> Optional[int]:
     return length
 
 
+def total_len(header: bytes) -> int:
+    """Full on-wire envelope length; :class:`ValueError` for a bad header."""
+    length = parse_header(header)
+    if length is None:
+        raise ValueError("bad RESP envelope")
+    return HEADER_LEN + length + TRAILER_LEN
+
+
 def steer_key(payload_head: bytes) -> bytes:
     """The key token of an inline command head (bounded parse).
 
@@ -183,7 +191,6 @@ PLUGIN = _plugin.register(
             "key parse uses a bounded head window",
         ),
         factory=RespAdapter,
-        upcalls=("l5o_get_tx_msgstate", "l5o_resync_rx_req", "l5o_offload_degraded"),
         description="RESP inline-command steering to key-sharded receive queues",
         info={"trailer_len": TRAILER_LEN, "ops": ("steer",)},
     )

@@ -10,74 +10,18 @@ Deserialization itself stays in software (a simplification the paper's
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.core.types import Direction, TxMsgState
-from repro.l5p.base import StreamAssembler
+from repro.core.types import Direction
+from repro.l5p.base import StreamEndpoint
 from repro.l5p.rpc import frame as F
 from repro.l5p.rpc.codec import decode, encode
 from repro.l5p import plugin
 from repro.l5p.rpc.frame import RpcConfig
-from repro.tcp import seq as sq
 
 
 class RpcError(Exception):
     """Server-side failure surfaced to the caller."""
-
-
-class _RpcPeer:
-    """Shared assembler/backpressure machinery."""
-
-    def __init__(self, host, conn, config: RpcConfig):
-        self.host = host
-        self.conn = conn
-        self.config = config
-        self.model = host.model
-        self.core = host.core_for_flow(conn.flow)
-        self.digest_cls = F.get_digest(config.digest_name)
-        self._assembler: Optional[StreamAssembler] = None
-        self._outq: deque[bytes] = deque()
-        conn.on_data = self._on_skb
-        conn.on_writable = self._flush
-        previous = conn.on_established
-
-        def established():
-            if previous:
-                previous()
-            self._flush()
-
-        conn.on_established = established
-
-    def _on_skb(self, skb) -> None:
-        if self._assembler is None:
-            self._assembler = StreamAssembler(F.HEADER_LEN, self._total_len, start_seq=skb.seq)
-        for msg in self._assembler.push(skb.data, skb.meta):
-            self._on_frame(msg)
-
-    @staticmethod
-    def _total_len(header: bytes) -> int:
-        parsed = F.parse_header(header)
-        if parsed is None:
-            raise ValueError("bad RPC frame header")
-        return F.HEADER_LEN + parsed[3] + F.TRAILER_LEN
-
-    def _on_frame(self, msg) -> None:
-        raise NotImplementedError
-
-    def _queue(self, wire: bytes) -> None:
-        self._outq.append(wire)
-        self._flush()
-
-    def _flush(self) -> None:
-        while self._outq and self.conn.state in ("established", "close-wait"):
-            wire = self._outq[0]
-            if self.conn.send_space < len(wire):
-                return
-            self._outq.popleft()
-            sent = self.conn.send(wire)
-            if sent != len(wire):
-                raise RuntimeError("frame split across send buffer boundary")
 
 
 class RpcServer:
@@ -88,6 +32,8 @@ class RpcServer:
         self.config = config or RpcConfig()
         self.methods: dict[int, Callable[[Any], Any]] = {}
         self.requests_served = 0
+        # When set, connections report framing desyncs here, not by raising.
+        self.on_error: Optional[Callable[[str], None]] = None
         host.tcp.listen(port, self._accept)
 
     def register(self, method_id: int, fn: Callable[[Any], Any]) -> None:
@@ -99,12 +45,22 @@ class RpcServer:
         _ServerConn(self, conn)
 
 
-class _ServerConn(_RpcPeer):
-    def __init__(self, server: RpcServer, conn):
-        super().__init__(server.host, conn, server.config)
-        self.server = server
+class _ServerConn(StreamEndpoint):
+    protocol = "rpc"
+    header_len = F.HEADER_LEN
+    _total_len = staticmethod(F.total_len)
 
-    def _on_frame(self, msg) -> None:
+    def __init__(self, server: RpcServer, conn):
+        super().__init__(server.host)
+        self.server = server
+        self.digest_cls = F.get_digest(server.config.digest_name)
+        self._attach(conn)
+
+    @property
+    def on_error(self):
+        return self.server.on_error
+
+    def _on_message(self, msg, idx: int) -> None:
         wire = msg.wire
         ftype, rpc_id, method_id, payload_len = F.parse_header(wire[:F.HEADER_LEN])
         if ftype != F.TYPE_REQUEST:
@@ -128,48 +84,46 @@ class _ServerConn(_RpcPeer):
         self._queue(F.make_frame(F.TYPE_RESPONSE, rpc_id, method_id, body, self.digest_cls))
 
 
-class RpcClient(_RpcPeer):
+class RpcClient(StreamEndpoint):
     """Issues calls; offloads response CRC + placement when configured."""
 
+    protocol = "rpc"
+    header_len = F.HEADER_LEN
+    _total_len = staticmethod(F.total_len)
+
     def __init__(self, host, server: str, port: int = 7000, config: Optional[RpcConfig] = None):
-        config = config or RpcConfig()
-        conn = host.tcp.connect(server, port)
-        super().__init__(host, conn, config)
+        super().__init__(host)
+        self.config = config or RpcConfig()
+        self.digest_cls = F.get_digest(self.config.digest_name)
         self._next_rpc_id = 1
-        self._pending: dict[int, tuple[Callable, float]] = {}
-        self._rx_ctx = None
-        self._pending_rr: list[tuple[int, bytearray]] = []
-        self._pending_resync: list[int] = []
+        # rpc_id -> (on_result, issued_at, response buffer the NIC places into)
+        self._pending: dict[int, tuple[Callable, float, Optional[bytearray]]] = {}
         self.stats = {
             "calls": 0,
             "responses": 0,
             "placed": 0,
             "software": 0,
             "errors": 0,
-            "offload_degraded": 0,
         }
-        if config.rx_offload:
-            if getattr(host.nic, "driver", None) is None:
-                raise RuntimeError("RPC offload requires an OffloadNic")
-            # Install once established: only then is the receive sequence
-            # space known (and no response can precede our first request).
-            previous = conn.on_established
+        if self.config.rx_offload:
+            self._driver()  # no OffloadNic: fail before the first packet
+        self._attach(host.tcp.connect(server, port))
 
-            def established():
-                if previous:
-                    previous()
-                self._install_offload()
+    def _offload(self, direction: Direction):
+        if direction is Direction.RX and self.config.rx_offload:
+            return plugin.make_adapter("rpc", config=self.config), None
+        return None  # requests are not TX-offloaded
 
-            conn.on_established = established
+    def _on_established(self) -> None:
+        # Only now is the receive sequence space known (and no response
+        # can precede our first request).
+        self._install(Direction.RX)
 
-    def _install_offload(self) -> None:
-        adapter = plugin.make_adapter("rpc", config=self.config)
-        self._rx_ctx = self.host.nic.driver.l5o_create(
-            self.conn, adapter, None, tcpsn=self.conn.rcv_nxt, direction=Direction.RX, l5p_ops=self
-        )
-        for rpc_id, buffer in self._pending_rr:
-            self.host.nic.driver.l5o_add_rr_state(self._rx_ctx, rpc_id, buffer)
-        self._pending_rr.clear()
+    def _installed(self, direction: Direction) -> None:
+        """Calls already in flight get their response buffers placed too."""
+        for rpc_id, (_on_result, _issued_at, buffer) in self._pending.items():
+            if buffer is not None:
+                self.host.nic.driver.l5o_add_rr_state(self._rx_ctx, rpc_id, buffer)
 
     # ------------------------------------------------------------------
     def call(self, method_id: int, args: Any, on_result: Callable[[Any, float], None]) -> int:
@@ -178,19 +132,15 @@ class RpcClient(_RpcPeer):
         self._next_rpc_id += 1
         payload = encode(args)
         self.core.charge(len(payload) * self.model.cpb_serialize, "app")
-        if self.config.rx_offload_copy:
-            buffer = bytearray(self.config.max_response)
-            if self._rx_ctx is not None:
-                self.host.nic.driver.l5o_add_rr_state(self._rx_ctx, rpc_id, buffer)
-            else:
-                self._pending_rr.append((rpc_id, buffer))
-        self._pending[rpc_id] = (on_result, self.host.sim.now)
+        buffer = bytearray(self.config.max_response) if self.config.rx_offload_copy else None
+        if buffer is not None and self._rx_ctx is not None:
+            self.host.nic.driver.l5o_add_rr_state(self._rx_ctx, rpc_id, buffer)
+        self._pending[rpc_id] = (on_result, self.host.sim.now, buffer)
         self._queue(F.make_frame(F.TYPE_REQUEST, rpc_id, method_id, payload, self.digest_cls))
         self.stats["calls"] += 1
         return rpc_id
 
-    def _on_frame(self, msg) -> None:
-        self._answer_resyncs(msg)
+    def _on_message(self, msg, idx: int) -> None:
         wire = msg.wire
         ftype, rpc_id, method_id, payload_len = F.parse_header(wire[:F.HEADER_LEN])
         if ftype != F.TYPE_RESPONSE:
@@ -198,7 +148,7 @@ class RpcClient(_RpcPeer):
         pending = self._pending.pop(rpc_id, None)
         if pending is None:
             return
-        on_result, issued_at = pending
+        on_result, issued_at, _buffer = pending
         payload_runs = msg.slice_runs(F.HEADER_LEN, payload_len)
         placed = self.config.rx_offload_copy and all(r.meta.placed for r in payload_runs)
         crc_done = self.config.rx_offload_crc and all(r.meta.crc_ok for r in msg.runs)
@@ -223,32 +173,3 @@ class RpcClient(_RpcPeer):
             on_result(RpcError(result.get("error", "unknown")), latency)
         else:
             on_result(result["value"], latency)
-
-    # ------------------------------------------------------------------
-    # Listing 2 upcalls
-    # ------------------------------------------------------------------
-    def l5o_get_tx_msgstate(self, tcpsn: int) -> Optional[TxMsgState]:
-        return None  # requests are not TX-offloaded
-
-    def l5o_resync_rx_req(self, tcpsn: int) -> None:
-        self._pending_resync.append(tcpsn)
-
-    def l5o_offload_degraded(self, direction: str, reason: str) -> None:
-        """Driver auto-disabled this flow's RX offload (§5.3); responses
-        fall back to the software CRC/copy path counted in `stats`."""
-        self.stats["offload_degraded"] += 1
-
-    def _answer_resyncs(self, msg) -> None:
-        if not self._pending_resync or self._rx_ctx is None:
-            return
-        driver = self.host.nic.driver
-        end = sq.add(msg.start_seq, msg.length)
-        still = []
-        for req in self._pending_resync:
-            if req == msg.start_seq:
-                driver.l5o_resync_rx_resp(self._rx_ctx, req, True, msg_index=0)
-            elif sq.lt(req, end):
-                driver.l5o_resync_rx_resp(self._rx_ctx, req, False)
-            else:
-                still.append(req)
-        self._pending_resync = still

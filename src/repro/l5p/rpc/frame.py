@@ -60,6 +60,14 @@ def parse_header(header: bytes) -> Optional[tuple[int, int, int, int]]:
     return ftype, rpc_id, method_id, payload_len
 
 
+def total_len(header: bytes) -> int:
+    """Full on-wire frame length; :class:`ValueError` for a bad header."""
+    parsed = parse_header(header)
+    if parsed is None:
+        raise ValueError("bad RPC frame header")
+    return HEADER_LEN + parsed[3] + TRAILER_LEN
+
+
 class _RpcTransform(MsgTransform):
     def __init__(self, adapter: "RpcAdapter", desc: MessageDesc, rr_state: dict):
         self.adapter = adapter
@@ -157,7 +165,6 @@ PLUGIN = _plugin.register(
             notes="RX-side CRC verify + rpc_id-keyed response placement (§7)",
         ),
         factory=lambda config=None, **kw: RpcAdapter(config or RpcConfig(), **kw),
-        upcalls=("l5o_get_tx_msgstate", "l5o_resync_rx_req", "l5o_offload_degraded"),
         description="SRPC response CRC + copy offload keyed by rpc_id",
         info={"trailer_len": TRAILER_LEN, "ops": ("crc", "place")},
     )

@@ -19,14 +19,14 @@ userspace OpenSSL and offloads only the record path.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.types import Direction, TxMsgState
+from repro.core.types import Direction
 from repro.crypto.sha1 import sha1
 from repro.crypto.suite import get_cipher_suite
-from repro.l5p.base import Run, StreamAssembler
+from repro.l5p import plugin
+from repro.l5p.base import Run, StreamEndpoint
 from repro.l5p.tls.fallback import decrypt_whole_record, recover_partial_record
 from repro.l5p.tls.record import (
     CONTENT_APPDATA,
@@ -39,7 +39,6 @@ from repro.l5p.tls.record import (
     record_nonce,
 )
 from repro.net.packet import SkbMeta
-from repro.tcp import seq as sq
 
 _HELLO_LEN = 32
 
@@ -75,41 +74,29 @@ class TlsStats:
         return self.records_rx_full + self.records_rx_partial + self.records_rx_none
 
 
-class KtlsSocket:
+class KtlsSocket(StreamEndpoint):
     """A TLS-protected byte stream over one TcpConnection."""
+
+    protocol = "kTLS"
+    header_len = HEADER_LEN
 
     def __init__(self, host, conn, role: str, config: Optional[TlsConfig] = None, adapter=None):
         if role not in ("client", "server"):
             raise ValueError(f"role must be client/server, got {role!r}")
-        self.host = host
-        self.conn = conn
+        super().__init__(host)
         self.role = role
         self.config = config or TlsConfig()
         self.suite = get_cipher_suite(self.config.suite_name)
         self.adapter = adapter  # injected for NVMe-TLS stacking
-        self.core = host.core_for_flow(conn.flow)
-        self.model = host.model
         self.ready = False
 
         # Directional states, set at key derivation.
         self.tx_state: Optional[TlsDirectionState] = None
         self.rx_state: Optional[TlsDirectionState] = None
-        self.tx_record_seq = 0
-        self.rx_record_seq = 0
         self._my_random = host.sim.substream(f"tls:{role}:{conn.flow}").randbytes(_HELLO_LEN)
         self._peer_random: Optional[bytes] = None
         self._hello_sent = False
-
-        # Offload plumbing.
-        self._tx_ctx = None
-        self._rx_ctx = None
-        # (start_seq, idx, wire, plaintext_offset) per offloaded record.
-        self._tx_msgs: deque[tuple[int, int, bytes, int]] = deque()
         self._tx_plain_sent = 0  # cumulative record-body bytes queued
-        self._pending_resync: list[int] = []
-
-        # Receive assembly.
-        self._assembler: Optional[StreamAssembler] = None
 
         # Application callbacks.
         self.on_ready: Optional[Callable[[], None]] = None
@@ -117,40 +104,29 @@ class KtlsSocket:
         self.on_record: Optional[Callable[[list[Run]], None]] = None
         self.on_writable: Optional[Callable[[], None]] = None
         self.on_error: Optional[Callable[[str], None]] = None
-        # Fired after a NIC reset re-installs a context (stacked L5Ps —
-        # NVMe/TLS — refresh their cached ctx handles here).
-        self.on_reattach: Optional[Callable[[str], None]] = None
+        # Fired whenever a context is (re-)installed — at key
+        # installation and after a NIC reset — so a stacked L5P
+        # (NVMe/TLS) can pick up the handle.
+        self.on_offload_installed: Optional[Callable[[Direction], None]] = None
 
         self.stats = TlsStats()
 
-        conn.on_data = self._on_skb
-        self._chain_established(conn)
-        conn.on_writable = self._on_conn_writable
+        self._attach(conn)
+        if conn.state == "established":
+            self._on_established()
 
     # ------------------------------------------------------------------
     # handshake
     # ------------------------------------------------------------------
-    def _chain_established(self, conn) -> None:
-        previous = conn.on_established
-
-        def established() -> None:
-            if previous:
-                previous()
-            if self.role == "client":
-                self._send_hello()
-
-        conn.on_established = established
-        if conn.state == "established" and self.role == "client":
+    def _on_established(self) -> None:
+        if self.role == "client":
             self._send_hello()
 
     def _send_hello(self) -> None:
         if self._hello_sent:
             return
         self._hello_sent = True
-        wire = make_header(CONTENT_HANDSHAKE, _HELLO_LEN + TAG_LEN) + self._my_random + b"\x00" * TAG_LEN
-        accepted = self.conn.send(wire)
-        if accepted != len(wire):
-            raise RuntimeError("send buffer too small for handshake")
+        self._transmit(make_header(CONTENT_HANDSHAKE, _HELLO_LEN + TAG_LEN) + self._my_random + b"\x00" * TAG_LEN)
 
     def _on_hello(self, body: bytes) -> None:
         self._peer_random = body[:_HELLO_LEN]
@@ -181,48 +157,30 @@ class KtlsSocket:
         self.core.charge(self.model.cycles_tls_handshake, "crypto")
 
     def _go_ready(self) -> None:
-        self._install_offloads()
+        # The protected stream starts here: record sequence numbers count
+        # from zero under the new keys, so the hello records (and the one
+        # being processed right now) are not message 0 of either context.
+        self._tx.sent = self._rx_count = 0
+        self._install(Direction.TX)
+        self._install(Direction.RX)
         self.ready = True
         if self.on_ready:
             self.on_ready()
 
-    def _install_offloads(self) -> None:
-        driver = getattr(self.host.nic, "driver", None)
-        adapter = self.adapter
-        if adapter is None:
-            from repro.l5p import plugin
+    def _offload(self, direction: Direction):
+        state = self.tx_state if direction is Direction.TX else self.rx_state
+        wanted = self.config.tx_offload if direction is Direction.TX else self.config.rx_offload
+        if not wanted or state is None:
+            return None
+        return self.adapter or plugin.make_adapter("tls"), state
 
-            adapter = plugin.make_adapter("tls")
-        if self.config.tx_offload:
-            if driver is None:
-                raise RuntimeError("tx_offload requires an OffloadNic")
-            self._tx_ctx = driver.l5o_create(
-                self.conn,
-                adapter,
-                self._tx_static_state(),
-                tcpsn=self.conn.send_buffer.end_seq,
-                direction=Direction.TX,
-                l5p_ops=self,
-            )
-            self._tx_ctx.created_seq = self.conn.send_buffer.end_seq
-        if self.config.rx_offload:
-            if driver is None:
-                raise RuntimeError("rx_offload requires an OffloadNic")
-            tcpsn = self._assembler.next_msg_seq if self._assembler else self.conn.rcv_nxt
-            self._rx_ctx = driver.l5o_create(
-                self.conn,
-                adapter,
-                self._rx_static_state(),
-                tcpsn=tcpsn,
-                direction=Direction.RX,
-                l5p_ops=self,
-            )
+    def _installed(self, direction: Direction) -> None:
+        if self.on_offload_installed:
+            self.on_offload_installed(direction)
 
-    def _tx_static_state(self):
-        return self.tx_state
-
-    def _rx_static_state(self):
-        return self.rx_state
+    def l5o_offload_degraded(self, direction: str, reason: str) -> None:
+        super().l5o_offload_degraded(direction, reason)
+        self.stats.offload_degraded = self.offload_degraded
 
     # ------------------------------------------------------------------
     # transmit path
@@ -257,13 +215,12 @@ class KtlsSocket:
 
     def _send_record(self, body: bytes, sendfile: bool) -> None:
         header = make_header(CONTENT_APPDATA, len(body) + TAG_LEN)
-        idx = self.tx_record_seq
+        idx = self._tx.sent
         pages = (len(body) + 4095) // 4096
         if self._tx_ctx is not None:
-            # Offload: pass the "wrong bytes" down the stack (§3.1).
+            # Offload: pass the "wrong bytes" down the stack (§3.1); the
+            # core logs them for TX recovery.
             wire = header + body + b"\x00" * TAG_LEN
-            start = self.conn.send_buffer.end_seq
-            self._tx_msgs.append((start, idx, wire, self._tx_plain_sent))
             if sendfile and self.config.zerocopy_sendfile:
                 # NIC encrypts page-cache bytes on the way out: no copy.
                 self.core.charge(self.model.cycles_sendfile_page * pages, "stack")
@@ -281,10 +238,7 @@ class KtlsSocket:
             else:
                 self.core.charge(len(body) * self.host.llc.copy_cpb(), "copy")
         self.core.charge(self.model.cycles_record_tx, "l5p")
-        accepted = self.conn.send(wire)
-        if accepted != len(wire):
-            raise RuntimeError("record split across send buffer boundary")
-        self.tx_record_seq += 1
+        self._transmit(wire, {"plain_offset": self._tx_plain_sent})
         self._tx_plain_sent += len(body)
         self.stats.records_tx += 1
         self.stats.bytes_tx += len(body)
@@ -296,105 +250,20 @@ class KtlsSocket:
     def close(self) -> None:
         self.conn.close()
 
-    def _on_conn_writable(self) -> None:
-        una = self.conn.snd_una
-        while self._tx_msgs:
-            start, _idx, wire, _plain = self._tx_msgs[0]
-            if sq.le(sq.add(start, len(wire)), una):
-                self._tx_msgs.popleft()
-            else:
-                break
+    def _writable(self) -> None:
         if self.ready and self.on_writable:
             self.on_writable()
 
-    # ------------------------------------------------------------------
-    # Listing 2: upcalls from the NIC driver
-    # ------------------------------------------------------------------
-    def l5o_get_tx_msgstate(self, tcpsn: int) -> Optional[TxMsgState]:
-        for start, idx, wire, plain in self._tx_msgs:
-            if sq.between(start, tcpsn, sq.add(start, len(wire))):
-                return TxMsgState(
-                    start_seq=start,
-                    msg_index=idx,
-                    wire_bytes=wire,
-                    info={"plain_offset": plain},
-                )
-        return None
-
-    def l5o_resync_rx_req(self, tcpsn: int) -> None:
-        self._pending_resync.append(tcpsn)
-
-    def l5o_offload_degraded(self, direction: str, reason: str) -> None:
-        """The driver gave up on this flow's offload (paper §5.3's
-        permanent software fallback); the socket keeps working through
-        the software crypto path."""
-        self.stats.offload_degraded += 1
-
-    def l5o_nic_reattach(self, direction: str):
-        """A NIC reset destroyed this flow's context; re-install it from
-        host-owned state (the whole point of autonomy, §2).
-
-        TX restarts at the head of the un-acked record queue — everything
-        before it is fully acknowledged and pruned, so ``snd_una`` lies
-        inside the head record and bytes below ``created_seq`` pass
-        through raw (already produced by the outage-time shadow).  RX
-        restarts at the next record boundary the assembler expects; the
-        standard Figure 7 searching/resync machinery absorbs any seam.
-        Returns the new context, or None if the flow is gone."""
-        if not self.ready or self.conn.state == "closed":
-            return None
-        driver = self.host.nic.driver
-        adapter = self.adapter
-        if adapter is None:
-            from repro.l5p import plugin
-
-            adapter = plugin.make_adapter("tls")
-        if direction == Direction.TX.value:
-            if self._tx_msgs:
-                start, idx, _wire, _plain = self._tx_msgs[0]
-            else:
-                start, idx = self.conn.send_buffer.end_seq, self.tx_record_seq
-            self._tx_ctx = driver.l5o_create(
-                self.conn,
-                adapter,
-                self._tx_static_state(),
-                tcpsn=start,
-                direction=Direction.TX,
-                l5p_ops=self,
-                msg_index=idx,
-            )
-            self._tx_ctx.created_seq = start
-            ctx = self._tx_ctx
-        else:
-            tcpsn = self._assembler.next_msg_seq if self._assembler else self.conn.rcv_nxt
-            self._rx_ctx = driver.l5o_create(
-                self.conn,
-                adapter,
-                self._rx_static_state(),
-                tcpsn=tcpsn,
-                direction=Direction.RX,
-                l5p_ops=self,
-                msg_index=self.rx_record_seq,
-            )
-            ctx = self._rx_ctx
-        if self.on_reattach:
-            self.on_reattach(direction)
-        return ctx
+    @property
+    def tx_plain_unacked(self) -> int:
+        """Plaintext-stream offset of the oldest un-acked record: what a
+        stacked L5P may prune its own plaintext-keyed TX log up to."""
+        head = self._tx.head()
+        return head[3]["plain_offset"] if head else self._tx_plain_sent
 
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def _on_skb(self, skb) -> None:
-        if self._assembler is None:
-            self._assembler = StreamAssembler(HEADER_LEN, self._total_len, start_seq=skb.seq)
-        try:
-            messages = self._assembler.push(skb.data, skb.meta)
-        except ValueError as exc:
-            self._fail(f"record framing error: {exc}")
-            return
-        for msg in messages:
-            self._process_record(msg)
-
     @staticmethod
     def _total_len(header: bytes) -> int:
         ctype, version, length = struct.unpack(">BHH", header)
@@ -402,19 +271,16 @@ class KtlsSocket:
             raise ValueError(f"record length {length} invalid")
         return HEADER_LEN + length
 
-    def _process_record(self, msg) -> None:
+    def _on_message(self, msg, idx: int) -> None:
         wire = msg.wire
         header = wire[:HEADER_LEN]
         ctype = header[0]
         body_len = len(wire) - HEADER_LEN - TAG_LEN
-        record_end = sq.add(msg.start_seq, len(wire))
 
         if not self.ready and ctype == CONTENT_HANDSHAKE:
             self._on_hello(wire[HEADER_LEN : HEADER_LEN + body_len])
             return
 
-        idx = self.rx_record_seq
-        self.rx_record_seq += 1
         self.core.charge(self.model.cycles_record_rx, "l5p")
         nonce = record_nonce(self.rx_state.iv, idx)
         tag = wire[HEADER_LEN + body_len :]
@@ -452,7 +318,6 @@ class KtlsSocket:
             self.core.charge(self.model.cycles_crypto_setup + self.model.cpb_aes_gcm * work, "crypto")
             plain, ok = recovered.plaintext, recovered.ok
             plain_runs = [Run(plain, SkbMeta())]
-        self._answer_resyncs(msg.start_seq, idx, record_end)
         if not ok:
             self.stats.auth_failures += 1
             self._fail(f"record {idx} failed authentication")
@@ -464,25 +329,3 @@ class KtlsSocket:
             self.on_record(plain_runs)
         if self.on_data and plain:
             self.on_data(plain)
-
-    def _answer_resyncs(self, record_start: int, idx: int, record_end: int) -> None:
-        if not self._pending_resync or self._rx_ctx is None:
-            return
-        driver = self.host.nic.driver
-        still_pending = []
-        for req in self._pending_resync:
-            if req == record_start:
-                driver.l5o_resync_rx_resp(self._rx_ctx, req, True, msg_index=idx)
-            elif sq.lt(req, record_end):
-                # The stream moved past the speculated position without a
-                # record starting there: deny.
-                driver.l5o_resync_rx_resp(self._rx_ctx, req, False)
-            else:
-                still_pending.append(req)
-        self._pending_resync = still_pending
-
-    def _fail(self, reason: str) -> None:
-        if self.on_error:
-            self.on_error(reason)
-        else:
-            raise RuntimeError(f"kTLS: {reason}")

@@ -136,8 +136,6 @@ PLUGIN = _plugin.register(
             notes="AES-GCM record crypto; per-record nonce from msg_index (§5.2)",
         ),
         factory=TlsAdapter,
-        upcalls=("l5o_get_tx_msgstate", "l5o_resync_rx_req", "l5o_offload_degraded",
-                 "l5o_nic_reattach"),
         description="Kernel TLS 1.3-style record encryption/decryption offload",
         info={"trailer_len": TAG_LEN, "ops": ("encrypt", "decrypt")},
     )

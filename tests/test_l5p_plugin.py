@@ -113,10 +113,6 @@ class TestDeclarationValidation:
         with pytest.raises(plugin.PluginError, match="scans 2B windows"):
             fake_proto(magic=one).validate()
 
-    def test_required_upcalls(self):
-        with pytest.raises(plugin.PluginError, match="l5o_resync_rx_req"):
-            fake_proto(upcalls=("l5o_get_tx_msgstate",)).validate()
-
 
 class TestRegistry:
     def test_builtins_registered(self):

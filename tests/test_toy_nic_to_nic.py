@@ -6,40 +6,8 @@ over real TCP with faults."""
 import pytest
 
 from helpers import make_pair
-from repro.core.types import Direction, TxMsgState
 from repro.nic import OffloadNic
-from repro.tcp import seq as sq
-from toy_l5p import ToyAdapter, encode_message, plain_message
-
-
-class ToyEndpointTx:
-    """Minimal sender L5P: frames bodies, keeps the seq->message map."""
-
-    def __init__(self, host, conn):
-        self.host = host
-        self.conn = conn
-        self.messages = []  # (start_seq, idx, wire)
-        self.count = 0
-        self.ctx = host.nic.driver.l5o_create(
-            conn, ToyAdapter(), None, tcpsn=conn.send_buffer.end_seq, direction=Direction.TX, l5p_ops=self
-        )
-
-    def send(self, body: bytes) -> None:
-        wire = plain_message(body)
-        start = self.conn.send_buffer.end_seq
-        self.messages.append((start, self.count, wire))
-        self.count += 1
-        accepted = self.conn.send(wire)
-        assert accepted == len(wire)
-
-    def l5o_get_tx_msgstate(self, tcpsn):
-        for start, idx, wire in self.messages:
-            if sq.between(start, tcpsn, sq.add(start, len(wire))):
-                return TxMsgState(start_seq=start, msg_index=idx, wire_bytes=wire)
-        return None
-
-    def l5o_resync_rx_req(self, tcpsn):
-        pass
+from toy_l5p import ToyEndpoint, encode_message
 
 
 class TestNicToNic:
@@ -61,7 +29,7 @@ class TestNicToNic:
         state = {}
 
         def go():
-            tx = ToyEndpointTx(pair.client, conn)
+            tx = ToyEndpoint(pair.client, conn, tx_offload=True)
             state["tx"] = tx
             for body in bodies:
                 tx.send(body)

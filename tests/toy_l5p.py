@@ -18,6 +18,7 @@ import struct
 from typing import Optional
 
 from repro.core.types import Direction, L5pAdapter, MessageDesc, MsgTransform, TxMsgState
+from repro.l5p.base import StreamEndpoint
 
 MAGIC = 0xA5
 KINDS = (1, 2, 3)
@@ -98,6 +99,7 @@ class ToyL5pOps:
         self.messages: list[tuple[int, int, bytes]] = []  # (start_seq, idx, bytes)
         self.next_seq = start_seq
         self.resync_requests: list[int] = []
+        self.degraded: list[tuple[str, str]] = []
 
     def stage(self, body: bytes) -> bytes:
         """Record a message as handed to TCP; returns its plain bytes."""
@@ -114,6 +116,59 @@ class ToyL5pOps:
 
     def l5o_resync_rx_req(self, tcpsn: int) -> None:
         self.resync_requests.append(tcpsn)
+
+    def l5o_offload_degraded(self, direction: str, reason: str) -> None:
+        self.degraded.append((direction, reason))
+
+    def l5o_nic_reattach(self, direction: str):
+        return None  # a recorder holds no stream to re-install from
+
+
+class ToyEndpoint(StreamEndpoint):
+    """The whole endpoint of a protocol on the shared core: its framing,
+    which contexts it wants and when, and a per-message handler.  The
+    Listing-2 lifecycle — assembly, backpressure, TX log, resync
+    answers, degradation, NIC-reset reattach — is inherited."""
+
+    protocol = "toy"
+    header_len = HEADER_LEN
+
+    def __init__(self, host, conn, tx_offload: bool = False, rx_offload: bool = False):
+        super().__init__(host)
+        self.wants = {Direction.TX: tx_offload, Direction.RX: rx_offload}
+        self.received: list[bytes] = []
+        self.offloaded = 0  # messages the NIC fully decoded and verified
+        self._attach(conn)
+        if conn.state == "established":
+            self._on_established()
+
+    def _total_len(self, header: bytes) -> int:
+        magic, kind, length = struct.unpack(">BBH", header)
+        if magic != MAGIC or kind not in KINDS:
+            raise ValueError(f"bad toy header {header.hex()}")
+        return HEADER_LEN + length + TRAILER_LEN
+
+    def _offload(self, direction: Direction):
+        return (ToyAdapter(), None) if self.wants[direction] else None
+
+    def _on_established(self) -> None:
+        self._install(Direction.TX)
+        self._install(Direction.RX)
+
+    def send(self, body: bytes) -> None:
+        if self._tx_ctx is not None:
+            self._queue(plain_message(body))  # the NIC XORs and fills the checksum
+        else:
+            self._queue(encode_message(body, self._tx.sent + len(self._outq)))
+
+    def _on_message(self, msg, idx: int) -> None:
+        # Runs the NIC decoded arrive plain; software un-XORs the rest.
+        key = key_byte(idx)
+        runs = msg.slice_runs(HEADER_LEN, msg.length - HEADER_LEN - TRAILER_LEN)
+        self.offloaded += all(run.meta.decrypted for run in runs)
+        self.received.append(
+            b"".join(r.data if r.meta.decrypted else bytes(b ^ key for b in r.data) for r in runs)
+        )
 
 
 def software_decode(wire: bytes, msg_index: int) -> bytes:
@@ -149,7 +204,6 @@ PLUGIN = _plugin.register(
             notes="XOR body keyed by msg_index; checksum trailer",
         ),
         factory=ToyAdapter,
-        upcalls=("l5o_get_tx_msgstate", "l5o_resync_rx_req"),
         description="Unit-test miniature L5P",
         info={"trailer_len": TRAILER_LEN, "ops": ("xor", "checksum")},
     )
