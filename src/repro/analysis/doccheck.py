@@ -34,7 +34,7 @@ _ANCHOR_RE = re.compile(
 _EXTERNAL = ("http://", "https://", "mailto:")
 
 #: Generated at run time (gitignored) — referenced by docs, never present in CI.
-_GENERATED = ("benchmarks/out/",)
+_GENERATED = ("benchmarks/out/", "benchmarks/perf/out/")
 
 
 def _iter_markdown(paths: Sequence[Path]) -> Iterator[Path]:

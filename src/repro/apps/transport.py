@@ -31,7 +31,8 @@ class Transport:
             self._tls.on_ready = self._ready
             self._tls.on_writable = self._writable
         else:
-            conn.on_data = lambda skb: self._deliver(skb.data)
+            # recvmsg: the application gets its own copy of the bytes.
+            conn.on_data = lambda skb: self._deliver(bytes(skb.data))
             conn.on_writable = self._writable
             if conn.state == "established":
                 host.sim.call_soon(self._ready)

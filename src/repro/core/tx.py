@@ -16,7 +16,7 @@ from repro.analysis.sanitizer import active as _sanitizer_active, allow_rewind
 from repro.core.context import HwContext
 from repro.core.types import ProtocolError
 from repro.core.walker import replay, walk
-from repro.net.packet import Packet
+from repro.net.packet import Buffer, Packet
 from repro.tcp import seq as sq
 
 
@@ -60,7 +60,7 @@ class TxEngine:
                 f"{ctx.adapter.name}: transmit stream does not parse as L5P "
                 f"messages at seq {seq}"
             )
-        pkt.payload = prefix + result.out
+        pkt.payload = b"".join((prefix, result.out)) if prefix else result.out
         ctx.expected_seq = sq.add(seq, len(payload))
         if sw_fallback:
             # The PCIe re-read failed, so the NIC could not rebuild the
@@ -114,7 +114,7 @@ class TxEngine:
                 ctx.expected_seq = state.start_seq
                 ctx.adapter.prepare_tx_recovery(ctx, state)
                 if offset:
-                    replay(ctx, state.wire_bytes[:offset])
+                    replay(ctx, memoryview(state.wire_bytes)[:offset])
                     ctx.expected_seq = seq
         result = walk(ctx, payload, emit=True)
         if result.desynced:
@@ -122,7 +122,7 @@ class TxEngine:
                 f"{ctx.adapter.name}: transmit stream does not parse as L5P "
                 f"messages at seq {seq}"
             )
-        pkt.payload = prefix + result.out
+        pkt.payload = b"".join((prefix, result.out)) if prefix else result.out
         ctx.expected_seq = sq.add(seq, len(payload))
         ctx.pkts_bypassed += 1
         ctx.tx_sw_fallbacks += 1
@@ -133,7 +133,7 @@ class TxEngine:
             core.charge(host.model.cycles_crypto_setup + len(payload) * cpb, "crypto")
 
     # ------------------------------------------------------------------
-    def _msgstate(self, ctx: HwContext, conn, seq: int, prefix: bytes, payload: bytes):
+    def _msgstate(self, ctx: HwContext, conn, seq: int, prefix: Buffer, payload: Buffer):
         """Ask the L5P for the message covering ``seq`` (the
         ``l5o_get_tx_msgstate`` upcall); returns ``(state, seq, prefix,
         payload)`` with any stale head of the segment moved, zero-filled,
@@ -155,7 +155,7 @@ class TxEngine:
         stale = min(sq.sub(conn.snd_una, seq), len(payload)) if conn is not None else 0
         if stale > 0:
             seq = sq.add(seq, stale)
-            prefix += b"\x00" * stale
+            prefix = b"".join((prefix, bytes(stale)))
             payload = payload[stale:]
             if not payload:
                 return None, seq, prefix, payload
@@ -202,7 +202,7 @@ class TxEngine:
         ctx.expected_seq = state.start_seq
         ctx.adapter.prepare_tx_recovery(ctx, state)
         if offset:
-            replay(ctx, state.wire_bytes[:offset])
+            replay(ctx, memoryview(state.wire_bytes)[:offset])
             ctx.expected_seq = tcpsn
         if failed:
             # The PCIe re-read failed: the NIC never rebuilds the

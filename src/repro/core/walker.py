@@ -21,46 +21,52 @@ from dataclasses import dataclass
 
 from repro.core.context import HwContext, Phase
 from repro.core.types import Direction, ProtocolError
+from repro.net.packet import Buffer
 
 
 @dataclass
 class WalkResult:
-    out: bytes = b""
+    out: Buffer = b""
     completed: int = 0  # messages finished within this run
     all_ok: bool = True  # every trailer completed in this run verified (RX)
     desynced: bool = False  # header failed to parse: stream position lost
 
 
-def walk(ctx: HwContext, data: bytes, emit: bool = True) -> WalkResult:
+def walk(ctx: HwContext, data: Buffer, emit: bool = True) -> WalkResult:
     """Advance ``ctx`` over ``data``.
 
     ``emit=True`` produces transformed output (offload); ``emit=False``
-    is the tracking walk: state advances, output equals input.
+    is the tracking walk: state advances, output *is* the input.
     ``ctx.expected_seq`` is *not* touched — callers own sequence math.
+
+    Nothing is copied that a transform did not write: pass-through
+    pieces are slices of ``data``, and a run that lies inside one
+    message body comes back as the transform's own output object.
     """
-    out = bytearray()
+    view = memoryview(data)
+    out: list[Buffer] = []
     result = WalkResult()
     i = 0
-    n = len(data)
+    n = len(view)
     while i < n:
         if ctx.phase == Phase.HEADER:
             need = ctx.adapter.header_len - len(ctx.header_buf)
-            take = data[i : i + need]
+            take = view[i : i + need]
             ctx.header_buf += take
-            out += take  # headers pass through unmodified
+            out.append(take)  # headers pass through unmodified
             i += len(take)
             if len(ctx.header_buf) == ctx.adapter.header_len:
                 desc = ctx.adapter.parse_header(bytes(ctx.header_buf), ctx.static_state)
                 if desc is None:
                     # Cannot be a valid message: the context lost the
                     # stream. Emit the rest untouched and report it.
-                    out += data[i:]
+                    out.append(view[i:])
                     result.desynced = True
                     result.all_ok = False
                     break
                 ctx.start_message(desc)
         elif ctx.phase == Phase.BODY:
-            take = data[i : i + ctx.body_remaining]
+            take = view[i : i + ctx.body_remaining]
             if emit:
                 transformed = ctx.transform.process(take)
                 if len(transformed) != len(take):
@@ -68,10 +74,9 @@ def walk(ctx: HwContext, data: bytes, emit: bool = True) -> WalkResult:
                         f"{ctx.adapter.name}: transform is not size-preserving "
                         f"({len(take)} -> {len(transformed)} bytes)"
                     )
-                out += transformed
+                out.append(transformed)
             else:
                 ctx.transform.track(take)
-                out += take
             ctx.body_remaining -= len(take)
             i += len(take)
             if ctx.body_remaining == 0:
@@ -81,7 +86,7 @@ def walk(ctx: HwContext, data: bytes, emit: bool = True) -> WalkResult:
                     result.completed += 1
                     ctx.finish_message()
         else:  # Phase.TRAILER
-            take = data[i : i + ctx.trailer_remaining]
+            take = view[i : i + ctx.trailer_remaining]
             if ctx.direction == Direction.TX and emit:
                 if not ctx._trailer_out:
                     ctx._trailer_out = ctx.transform.finalize_tx()
@@ -91,11 +96,11 @@ def walk(ctx: HwContext, data: bytes, emit: bool = True) -> WalkResult:
                             f"({len(ctx._trailer_out)} != {ctx.desc.trailer_len})"
                         )
                 offset = ctx.desc.trailer_len - ctx.trailer_remaining
-                out += ctx._trailer_out[offset : offset + len(take)]
+                out.append(ctx._trailer_out[offset : offset + len(take)])
             else:
                 # RX (or tracking): collect and pass through the wire trailer.
                 ctx._trailer_in += take
-                out += take
+                out.append(take)
             ctx.trailer_remaining -= len(take)
             i += len(take)
             if ctx.trailer_remaining == 0:
@@ -104,7 +109,10 @@ def walk(ctx: HwContext, data: bytes, emit: bool = True) -> WalkResult:
                         result.all_ok = False
                 result.completed += 1
                 ctx.finish_message()
-    result.out = bytes(out)
+    if not emit:
+        result.out = data
+    else:
+        result.out = out[0] if len(out) == 1 else b"".join(out)
     obs = ctx.obs
     if obs is not None:
         # One batched attribution flush per walk: the per-mode cells are
@@ -128,7 +136,7 @@ def walk(ctx: HwContext, data: bytes, emit: bool = True) -> WalkResult:
     return result
 
 
-def replay(ctx: HwContext, stored_bytes: bytes) -> None:
+def replay(ctx: HwContext, stored_bytes: Buffer) -> None:
     """Re-derive mid-message state by replaying ``stored_bytes`` from the
     message start (TX context recovery, §4.2).  Output is discarded."""
     result = walk(ctx, stored_bytes, emit=True)

@@ -118,7 +118,9 @@ class Ghash:
         return z
 
     def update(self, data: bytes) -> None:
-        buf = self._buf + data if self._buf else data
+        # ``data`` may be a view of a packet payload; the carried-over
+        # partial block (< 16 bytes) is always held as ``bytes``.
+        buf = b"".join((self._buf, data)) if self._buf else data
         full = len(buf) - (len(buf) % 16)
         y = self._y
         # Batched block absorption: the whole record's full blocks are
@@ -149,7 +151,7 @@ class Ghash:
                 ^ t15[b[15]]
             )
         self._y = y
-        self._buf = buf[full:]
+        self._buf = bytes(buf[full:])
 
     def pad_to_block(self) -> None:
         """Zero-pad the pending partial block, closing a GCM segment."""

@@ -18,15 +18,20 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.core.types import Direction, TxMsgState
-from repro.net.packet import SkbMeta
+from repro.net.packet import Buffer, SkbMeta, Wire, gather
 from repro.tcp import seq as sq
+
+
+def wire_len(wire: Wire) -> int:
+    return sum(map(len, gather(wire)))
 
 
 @dataclass
 class Run:
-    """A byte run with uniform offload metadata."""
+    """A byte run with uniform offload metadata: a view of the packet
+    payload that delivered it."""
 
-    data: bytes
+    data: Buffer
     meta: SkbMeta
 
     def __len__(self) -> int:
@@ -47,6 +52,11 @@ class AssembledMessage:
     @property
     def wire(self) -> bytes:
         return b"".join(r.data for r in self.runs)
+
+    def cut(self, offset: int, length: int) -> bytes:
+        """Bytes ``[offset, offset+length)`` of the message, copied out
+        for a consumer that keeps or parses them."""
+        return b"".join(r.data for r in self.slice_runs(offset, length))
 
     def fully(self, predicate: Callable[[SkbMeta], bool]) -> bool:
         return all(predicate(r.meta) for r in self.runs)
@@ -83,15 +93,16 @@ class StreamAssembler:
         self.header_len = header_len
         self.total_len_fn = total_len_fn
         self.next_msg_seq = start_seq  # seq of the current message's first byte
-        self._runs: list[Run] = []
+        self._runs: deque[Run] = deque()
         self._buffered = 0
         self._msg_total: Optional[int] = None
 
-    def push(self, data: bytes, meta: SkbMeta) -> list[AssembledMessage]:
-        """Feed in-order stream bytes; returns completed messages."""
+    def push(self, data: Buffer, meta: SkbMeta) -> list[AssembledMessage]:
+        """Feed in-order stream bytes; returns completed messages, whose
+        runs are views of ``data`` (nothing is copied here)."""
         if not data:
             return []
-        self._runs.append(Run(data, meta))
+        self._runs.append(Run(memoryview(data), meta))
         self._buffered += len(data)
         out: list[AssembledMessage] = []
         while True:
@@ -112,12 +123,13 @@ class StreamAssembler:
 
     # ------------------------------------------------------------------
     def _peek(self, n: int) -> bytes:
-        got = bytearray()
+        pieces = []
         for run in self._runs:
-            got += run.data[: n - len(got)]
-            if len(got) >= n:
+            pieces.append(run.data[:n])
+            n -= len(pieces[-1])
+            if not n:
                 break
-        return bytes(got)
+        return b"".join(pieces)
 
     def _cut(self, n: int) -> AssembledMessage:
         taken: list[Run] = []
@@ -127,7 +139,7 @@ class StreamAssembler:
             if len(run) <= remaining:
                 taken.append(run)
                 remaining -= len(run)
-                self._runs.pop(0)
+                self._runs.popleft()
             else:
                 taken.append(Run(run.data[:remaining], run.meta))
                 self._runs[0] = Run(run.data[remaining:], run.meta)
@@ -143,36 +155,40 @@ class TxLog:
     what ``l5o_get_tx_msgstate`` answers from when a retransmission (or
     a re-installed context) lands mid-message (§4.2).
 
+    A message is logged as the very pieces TCP's send buffer holds and
+    is joined only when a lookup actually needs its bytes.
+
     Positions are whatever the carrying byte stream counts in — TCP
     sequence numbers, or plaintext offsets when the stream rides kTLS —
     compared modulo 2^32, so the log works across the sequence wrap.
     """
 
     def __init__(self) -> None:
-        self._msgs: deque[tuple[int, int, bytes, Optional[dict]]] = deque()
+        self._msgs: deque[tuple[int, int, Wire, Optional[dict], int]] = deque()
         self.sent = 0  # messages ever handed down == index of the next one
 
-    def track(self, start: int, wire: bytes, info: Optional[dict] = None, keep: bool = True) -> None:
+    def track(self, start: int, wire: Wire, info: Optional[dict] = None, keep: bool = True) -> None:
         """Count one message starting at ``start``; remember it if ``keep``."""
         if keep:
-            self._msgs.append((start, self.sent, wire, info))
+            self._msgs.append((start, self.sent, wire, info, wire_len(wire)))
         self.sent += 1
 
     def lookup(self, pos: int) -> Optional[TxMsgState]:
         """State of the logged message covering stream position ``pos``."""
-        for start, idx, wire, info in self._msgs:
-            if sq.between(start, pos, sq.add(start, len(wire))):
-                return TxMsgState(start_seq=start, msg_index=idx, wire_bytes=wire, info=info or {})
+        for start, idx, wire, info, size in self._msgs:
+            if sq.between(start, pos, sq.add(start, size)):
+                joined = b"".join(gather(wire))
+                return TxMsgState(start_seq=start, msg_index=idx, wire_bytes=joined, info=info or {})
         return None
 
     def prune(self, acked: int) -> None:
         """Drop messages that end at or before ``acked``."""
         msgs = self._msgs
-        while msgs and sq.le(sq.add(msgs[0][0], len(msgs[0][2])), acked):
+        while msgs and sq.le(sq.add(msgs[0][0], msgs[0][4]), acked):
             msgs.popleft()
 
-    def head(self) -> Optional[tuple[int, int, bytes, Optional[dict]]]:
-        """The oldest un-acked ``(start, index, wire, info)``, if any."""
+    def head(self) -> Optional[tuple[int, int, Wire, Optional[dict], int]]:
+        """The oldest un-acked ``(start, index, wire, info, size)``, if any."""
         return self._msgs[0] if self._msgs else None
 
 
@@ -222,7 +238,7 @@ class StreamEndpoint:
         self._assembler: Optional[StreamAssembler] = None
         self._rx_count = 0  # messages handled == index of the next one
         self._rx_seq: Optional[int] = None  # where the next one starts
-        self._outq: deque[bytes] = deque()
+        self._outq: deque[Wire] = deque()
         self._tx = TxLog()
         self._pending_resync: list[int] = []
         self._tx_ctx: Any = None
@@ -287,7 +303,7 @@ class StreamEndpoint:
         for run in runs:
             self._ingest(run.data, run.meta, 0)
 
-    def _ingest(self, data: bytes, meta: SkbMeta, seq: int) -> None:
+    def _ingest(self, data: Buffer, meta: SkbMeta, seq: int) -> None:
         if self._assembler is None:
             self._assembler = StreamAssembler(self.header_len, self._total_len, start_seq=seq)
             self._rx_seq = seq
@@ -335,7 +351,7 @@ class StreamEndpoint:
     # ------------------------------------------------------------------
     # transmit: whole frames, with backpressure
     # ------------------------------------------------------------------
-    def _queue(self, wire: bytes) -> None:
+    def _queue(self, wire: Wire) -> None:
         """Send one frame as soon as the transport can take all of it."""
         self._outq.append(wire)
         self._flush()
@@ -343,7 +359,7 @@ class StreamEndpoint:
     def _flush(self) -> None:
         lower = self.lower
         while self._outq:
-            size = len(self._outq[0])
+            size = wire_len(self._outq[0])
             if lower is not None:
                 if not lower.ready or lower.send_space < size:
                     return
@@ -351,14 +367,17 @@ class StreamEndpoint:
                 return
             self._transmit(self._outq.popleft())
 
-    def _transmit(self, wire: bytes, info: Optional[dict] = None) -> None:
+    def _transmit(self, wire: Wire, info: Optional[dict] = None) -> None:
         """Hand one frame to the transport now, logging it for TX
-        recovery when a TX context covers the stream."""
+        recovery when a TX context covers the stream.  The log and the
+        transport get the same object(s)."""
         lower = self.lower
+        if lower is not None:
+            wire = b"".join(gather(wire))  # kTLS cuts record bodies out of one buffer
         start = lower.stats.bytes_tx if lower is not None else self.conn.send_buffer.end_seq
         self._tx.track(start, wire, info, keep=self._tx_ctx is not None)
         sent = lower.send(wire) if lower is not None else self.conn.send(wire)
-        if sent != len(wire):
+        if sent != wire_len(wire):
             raise RuntimeError(f"{self.protocol}: frame split across send buffer boundary")
 
     def _on_writable(self) -> None:

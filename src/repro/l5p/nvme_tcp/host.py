@@ -18,6 +18,7 @@ from repro.l5p.base import StreamEndpoint
 from repro.l5p.nvme_tcp import pdu as P
 from repro.l5p import plugin
 from repro.l5p.nvme_tcp.pdu import NvmeConfig
+from repro.net.packet import Wire
 
 
 @dataclass
@@ -192,7 +193,7 @@ class NvmeTcpHost(StreamEndpoint):
                 self.core.charge(length * self.host.llc.touch_cpb(self.model.cpb_crc32c), "crc")
             self._send_wire(wire)
 
-    def _send_wire(self, wire: bytes) -> None:
+    def _send_wire(self, wire: Wire) -> None:
         """Queue one PDU for transmission with backpressure."""
         self.core.charge(self.model.cycles_pdu, "l5p")
         self._queue(wire)
@@ -215,25 +216,21 @@ class NvmeTcpHost(StreamEndpoint):
     def _on_message(self, msg, idx: int) -> None:
         self.stats.pdus_rx += 1
         self.core.charge(self.model.cycles_pdu, "l5p")
-        wire = msg.wire
-        pdu_type = wire[0]
-        has_digest = bool(wire[1] & P.FLAG_DDGST)
+        pdu_type, flags = msg.cut(0, 2)
         if pdu_type == P.TYPE_C2H_DATA:
-            self._on_c2h_data(msg, has_digest)
+            self._on_c2h_data(msg, bool(flags & P.FLAG_DDGST))
         elif pdu_type == P.TYPE_CAPSULE_RESP:
-            self._on_resp(wire)
+            self._on_resp(msg.wire)
         elif pdu_type == P.TYPE_R2T:
-            self._on_r2t(wire)
+            self._on_r2t(msg.wire)
         # Other types are ignored by the initiator.
 
     def _on_c2h_data(self, msg, has_digest: bool) -> None:
-        wire = msg.wire
-        psh = wire[P.CH_LEN : P.CH_LEN + P.PSH_LEN[P.TYPE_C2H_DATA]]
-        cid, data_offset, data_len = P.parse_data_psh(psh)
+        data_start = P.CH_LEN + P.PSH_LEN[P.TYPE_C2H_DATA]
+        cid, data_offset, data_len = P.parse_data_psh(msg.cut(P.CH_LEN, data_start - P.CH_LEN))
         req = self._inflight.get(cid)
         if req is None or data_offset + data_len > len(req.buffer):
             return  # stale or corrupt; the CapsuleResp will sort it out
-        data_start = P.CH_LEN + P.PSH_LEN[P.TYPE_C2H_DATA]
         data_runs = msg.slice_runs(data_start, data_len)
         placed = all(r.meta.placed for r in data_runs) and self.config.rx_offload_copy
         crc_done = all(r.meta.crc_ok for r in msg.runs) and self.config.rx_offload_crc
@@ -244,14 +241,14 @@ class NvmeTcpHost(StreamEndpoint):
             self.stats.pdus_placed += 1
             return
         self.stats.pdus_software += 1
-        data = wire[data_start : data_start + data_len]
+        data = b"".join(r.data for r in data_runs)
         copy_bytes = sum(len(r.data) for r in data_runs if not (r.meta.placed and self.config.rx_offload_copy))
         if copy_bytes:
             self.core.charge(copy_bytes * self.host.llc.copy_cpb(), "copy")
         req.buffer[data_offset : data_offset + data_len] = data
         if has_digest and not crc_done:
             self.core.charge(data_len * self.host.llc.touch_cpb(self.model.cpb_crc32c), "crc")
-            wire_digest = wire[-P.DDGST_LEN :]
+            wire_digest = msg.cut(msg.length - P.DDGST_LEN, P.DDGST_LEN)
             if self.digest_cls(data).digest() != wire_digest:
                 self.stats.digest_failures += 1
                 req.data_failures += 1
@@ -263,7 +260,7 @@ class NvmeTcpHost(StreamEndpoint):
         req = self._inflight.get(cid)
         if req is None or offset + length > len(req.write_data):
             return  # stale R2T
-        chunk = req.write_data[offset : offset + length]
+        chunk = memoryview(req.write_data)[offset : offset + length]
         offloaded_tx = self._tx_ctx is not None
         wire_out = P.build_pdu(
             P.TYPE_H2C_DATA,

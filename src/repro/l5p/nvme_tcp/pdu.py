@@ -22,6 +22,7 @@ from typing import Optional
 
 from repro.core.types import Direction, L5pAdapter, MessageDesc, MsgTransform
 from repro.crypto.crc import get_digest
+from repro.net.packet import Buffer
 
 CH_LEN = 8
 DDGST_LEN = 4
@@ -108,17 +109,23 @@ def parse_r2t_psh(psh: bytes) -> tuple[int, int, int]:
     return cid, offset, length
 
 
-def build_pdu(pdu_type: int, psh: bytes, data: bytes, digest_cls, ddgst: bool, dummy_digest: bool = False) -> bytes:
-    """Assemble a full PDU; ``dummy_digest`` leaves the DDGST zeroed for
-    the NIC to fill (the offloaded TX path)."""
+def build_pdu(
+    pdu_type: int, psh: bytes, data: Buffer, digest_cls, ddgst: bool, dummy_digest: bool = False
+) -> tuple[Buffer, ...]:
+    """Assemble a full PDU as the gather list ``(ch + psh, data, ddgst)``
+    — ``data`` is the caller's object, not a copy; absent pieces are left
+    out.  ``dummy_digest`` leaves the DDGST zeroed for the NIC to fill
+    (the offloaded TX path)."""
     if len(psh) != PSH_LEN[pdu_type]:
         raise ValueError(f"PSH length {len(psh)} wrong for type {pdu_type:#x}")
-    has_digest = ddgst and data
+    has_digest = bool(ddgst and data)
     plen = CH_LEN + len(psh) + len(data) + (DDGST_LEN if has_digest else 0)
-    out = make_ch(pdu_type, plen, bool(has_digest)) + psh + data
-    if has_digest:
-        out += b"\x00" * DDGST_LEN if dummy_digest else digest_cls(data).digest()
-    return out
+    head = make_ch(pdu_type, plen, has_digest) + psh
+    if not data:
+        return (head,)
+    if not has_digest:
+        return (head, data)
+    return (head, data, bytes(DDGST_LEN) if dummy_digest else digest_cls(data).digest())
 
 
 def pdu_total_len(ch: bytes) -> int:

@@ -14,6 +14,7 @@ from repro.l5p.base import StreamEndpoint
 from repro.l5p.nvme_tcp import pdu as P
 from repro.l5p import plugin
 from repro.l5p.nvme_tcp.pdu import NvmeConfig
+from repro.net.packet import Wire
 from repro.storage.blockdev import BlockDevice
 
 MAX_C2H_DATA = 1 << 20  # split read payloads into PDUs of at most 1 MiB
@@ -116,7 +117,7 @@ class _TargetConn(StreamEndpoint):
                 self._send_pdu(r2t)
                 return
             del in_capsule
-            data = wire[data_start : data_start + length]
+            data = memoryview(wire)[data_start : data_start + length]
             has_digest = bool(wire[1] & P.FLAG_DDGST) and length > 0
             status = 0
             if has_digest:
@@ -138,7 +139,7 @@ class _TargetConn(StreamEndpoint):
             return
         slba, buffer, received = pending
         data_start = P.CH_LEN + P.PSH_LEN[P.TYPE_H2C_DATA]
-        data = wire[data_start : data_start + length]
+        data = memoryview(wire)[data_start : data_start + length]
         has_digest = bool(wire[1] & P.FLAG_DDGST) and length > 0
         if has_digest:
             self.core.charge(length * self.host.llc.touch_cpb(self.model.cpb_crc32c), "crc")
@@ -159,8 +160,9 @@ class _TargetConn(StreamEndpoint):
         self.commands_served += 1
         offloaded_tx = self._tx_ctx is not None
         offset = 0
+        view = memoryview(data)
         while offset < len(data):
-            chunk = data[offset : offset + MAX_C2H_DATA]
+            chunk = view[offset : offset + MAX_C2H_DATA]
             pdu = P.build_pdu(
                 P.TYPE_C2H_DATA,
                 P.make_data_psh(cid, offset, len(chunk)),
@@ -184,7 +186,7 @@ class _TargetConn(StreamEndpoint):
     def _respond(self, cid: int, status: int) -> None:
         self._send_pdu(P.build_pdu(P.TYPE_CAPSULE_RESP, P.make_cqe(cid, status), b"", self.digest_cls, False))
 
-    def _send_pdu(self, pdu: bytes) -> None:
+    def _send_pdu(self, pdu: Wire) -> None:
         """Queue one PDU for transmission with backpressure."""
         self.core.charge(self.model.cycles_pdu, "l5p")
         self._queue(pdu)

@@ -189,7 +189,7 @@ class NvmeTlsAdapter(TlsAdapter):
             self._disable_inner(Direction.TX)
             return
         if prefix_len:
-            walk(inner, inner_state.wire_bytes[:prefix_len], emit=True)
+            walk(inner, memoryview(inner_state.wire_bytes)[:prefix_len], emit=True)
         self._inner_enabled[Direction.TX] = True
 
 

@@ -60,7 +60,7 @@ def parse_header(header: bytes) -> Optional[int]:
     digits = header[1:9]
     if any(d not in _HEX for d in digits):
         return None
-    length = int(digits, 16)
+    length = int(bytes(digits), 16)
     if length > MAX_INLINE:
         return None
     return length

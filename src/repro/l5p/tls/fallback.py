@@ -36,36 +36,32 @@ def recover_partial_record(
     """Authenticate and decrypt a record whose body arrived as a mix of
     NIC-decrypted (plaintext) and untouched (ciphertext) runs.
 
-    Pass 1 rebuilds the full ciphertext: plaintext runs are re-encrypted,
-    ciphertext runs are absorbed into the authenticator as-is; the tag is
-    then checked.  Pass 2 decrypts the ciphertext runs by seeking a
-    throwaway keystream to each run's offset.
+    The authenticator sees the full ciphertext: plaintext runs are
+    re-encrypted, ciphertext runs are absorbed as-is, and the tag is then
+    checked.  Each ciphertext run is decrypted by seeking a throwaway
+    keystream to its offset; the record is copied once, when its
+    plaintext pieces are joined.
     """
     enc = suite.encryptor(key, nonce, aad=aad)
-    reencrypted = 0
-    to_decrypt: list[tuple[int, bytes]] = []  # (offset, ciphertext)
+    reencrypted = decrypted = 0
+    plain = []
     offset = 0
     for run in body_runs:
         if run.meta.decrypted:
             enc.update(run.data)  # re-encrypt to recover the ciphertext
             reencrypted += len(run.data)
+            plain.append(run.data)
         else:
             enc.absorb_ciphertext(run.data)
-            to_decrypt.append((offset, run.data))
+            dec = suite.decryptor(key, nonce, aad=aad)
+            if offset:
+                dec.skip(offset)
+            plain.append(dec.update(run.data))
+            decrypted += len(run.data)
         offset += len(run.data)
-    ok = enc.finalize() == wire_tag
-
-    plain = bytearray(b"".join(r.data for r in body_runs))
-    decrypted = 0
-    for run_offset, ciphertext in to_decrypt:
-        dec = suite.decryptor(key, nonce, aad=aad)
-        if run_offset:
-            dec.skip(run_offset)
-        plain[run_offset : run_offset + len(ciphertext)] = dec.update(ciphertext)
-        decrypted += len(ciphertext)
     return RecoveredRecord(
-        plaintext=bytes(plain),
-        ok=ok,
+        plaintext=b"".join(plain),
+        ok=enc.finalize() == wire_tag,
         reencrypted_bytes=reencrypted,
         decrypted_bytes=decrypted,
     )

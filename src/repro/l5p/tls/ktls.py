@@ -38,9 +38,11 @@ from repro.l5p.tls.record import (
     make_header,
     record_nonce,
 )
-from repro.net.packet import SkbMeta
+from repro.net.packet import Buffer, SkbMeta
+from repro.tcp.buffer import frozen
 
 _HELLO_LEN = 32
+_DUMMY_TAG = bytes(TAG_LEN)  # what an offloaded record carries for the NIC to fill
 
 
 @dataclass
@@ -185,23 +187,26 @@ class KtlsSocket(StreamEndpoint):
     # ------------------------------------------------------------------
     # transmit path
     # ------------------------------------------------------------------
-    def send(self, data: bytes) -> int:
+    def send(self, data: Buffer) -> int:
         """Frame and queue application bytes; returns bytes consumed."""
         return self._send_common(data, sendfile=False)
 
-    def sendfile(self, data: bytes) -> int:
+    def sendfile(self, data: Buffer) -> int:
         """Transmit page-cache content (nginx's sendfile path)."""
         return self._send_common(data, sendfile=True)
 
-    def _send_common(self, data: bytes, sendfile: bool) -> int:
+    def _send_common(self, data: Buffer, sendfile: bool) -> int:
         if not self.ready:
             raise RuntimeError("TLS handshake not complete")
+        data = memoryview(data)
         consumed = 0
         while consumed < len(data):
             body = data[consumed : consumed + self.config.record_size]
             if self.conn.send_space < len(body) + HEADER_LEN + TAG_LEN:
                 break
-            self._send_record(body, sendfile=sendfile)
+            # An accepted body goes to the wire as a view of the caller's
+            # immutable bytes, or as a snapshot of just that record.
+            self._send_record(frozen(body), sendfile=sendfile)
             consumed += len(body)
         return consumed
 
@@ -213,14 +218,14 @@ class KtlsSocket(StreamEndpoint):
         records = space // (self.config.record_size + per_record) + 1
         return max(0, space - records * per_record)
 
-    def _send_record(self, body: bytes, sendfile: bool) -> None:
+    def _send_record(self, body: memoryview, sendfile: bool) -> None:
         header = make_header(CONTENT_APPDATA, len(body) + TAG_LEN)
         idx = self._tx.sent
         pages = (len(body) + 4095) // 4096
         if self._tx_ctx is not None:
             # Offload: pass the "wrong bytes" down the stack (§3.1); the
             # core logs them for TX recovery.
-            wire = header + body + b"\x00" * TAG_LEN
+            wire = (header, body, _DUMMY_TAG)
             if sendfile and self.config.zerocopy_sendfile:
                 # NIC encrypts page-cache bytes on the way out: no copy.
                 self.core.charge(self.model.cycles_sendfile_page * pages, "stack")
@@ -229,7 +234,7 @@ class KtlsSocket(StreamEndpoint):
         else:
             nonce = record_nonce(self.tx_state.iv, idx)
             ciphertext, tag = self.suite.seal(self.tx_state.key, nonce, body, aad=header)
-            wire = header + ciphertext + tag
+            wire = (header, ciphertext, tag)
             crypto = self.model.cycles_crypto_setup + self.model.cpb_aes_gcm * (len(body) + TAG_LEN)
             self.core.charge(crypto, "crypto")
             if sendfile:
@@ -272,20 +277,20 @@ class KtlsSocket(StreamEndpoint):
         return HEADER_LEN + length
 
     def _on_message(self, msg, idx: int) -> None:
-        wire = msg.wire
-        header = wire[:HEADER_LEN]
-        ctype = header[0]
-        body_len = len(wire) - HEADER_LEN - TAG_LEN
+        header = msg.cut(0, HEADER_LEN)
+        body_len = msg.length - HEADER_LEN - TAG_LEN
 
-        if not self.ready and ctype == CONTENT_HANDSHAKE:
-            self._on_hello(wire[HEADER_LEN : HEADER_LEN + body_len])
+        if not self.ready and header[0] == CONTENT_HANDSHAKE:
+            self._on_hello(msg.cut(HEADER_LEN, body_len))
             return
 
         self.core.charge(self.model.cycles_record_rx, "l5p")
         nonce = record_nonce(self.rx_state.iv, idx)
-        tag = wire[HEADER_LEN + body_len :]
         decrypted_flags = [run.meta.decrypted for run in msg.runs]
         obs = self.host.sim.obs
+        # The record is copied out of the packets once: by the software
+        # cipher that has to read it anyway, or for ``on_data``.
+        plain: Optional[bytes] = None
         plain_runs: list[Run]
         if all(decrypted_flags):
             self.stats.records_rx_full += 1
@@ -293,7 +298,6 @@ class KtlsSocket(StreamEndpoint):
                 obs.count("l5p.tls.rx.records.full")
                 obs.count("l5p.tls.rx.bytes.offload", body_len)
             plain_runs = msg.slice_runs(HEADER_LEN, body_len)
-            plain = b"".join(r.data for r in plain_runs)
             ok = True
         elif not any(decrypted_flags):
             self.stats.records_rx_none += 1
@@ -302,7 +306,8 @@ class KtlsSocket(StreamEndpoint):
                 obs.count("l5p.tls.rx.bytes.fallback", body_len)
             crypto = self.model.cycles_crypto_setup + self.model.cpb_aes_gcm * (body_len + TAG_LEN)
             self.core.charge(crypto, "crypto")
-            ciphertext = wire[HEADER_LEN : HEADER_LEN + body_len]
+            ciphertext = msg.cut(HEADER_LEN, body_len)
+            tag = msg.cut(HEADER_LEN + body_len, TAG_LEN)
             plain, ok = decrypt_whole_record(self.suite, self.rx_state.key, nonce, header, ciphertext, tag)
             plain_runs = [Run(plain, SkbMeta())]
         else:
@@ -311,6 +316,7 @@ class KtlsSocket(StreamEndpoint):
                 obs.count("l5p.tls.rx.records.partial")
                 obs.count("l5p.tls.rx.bytes.fallback", body_len)
             body_runs = msg.slice_runs(HEADER_LEN, body_len)
+            tag = msg.cut(HEADER_LEN + body_len, TAG_LEN)
             recovered = recover_partial_record(self.suite, self.rx_state.key, nonce, header, body_runs, tag)
             # Partial fallback re-encrypts NIC-decrypted runs: costlier
             # than plain decryption (§5.2).
@@ -323,9 +329,9 @@ class KtlsSocket(StreamEndpoint):
             self._fail(f"record {idx} failed authentication")
             return
         # Copy to the application (recvmsg).
-        self.core.charge(len(plain) * self.host.llc.copy_cpb(), "stack")
-        self.stats.bytes_rx += len(plain)
+        self.core.charge(body_len * self.host.llc.copy_cpb(), "stack")
+        self.stats.bytes_rx += body_len
         if self.on_record:
             self.on_record(plain_runs)
-        if self.on_data and plain:
-            self.on_data(plain)
+        if self.on_data and body_len:
+            self.on_data(plain if plain is not None else b"".join(r.data for r in plain_runs))

@@ -13,7 +13,26 @@ decide whether to fall back to software processing (§4.3, §5.1, §5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence, Union
+
+#: Payload bytes on their way through the stack: immutable ``bytes`` or a
+#: read-only ``memoryview`` of them.  Layers slice and forward these and
+#: never copy; only a producer (application write, NIC transform,
+#: software crypto) or an L5P cutting a message for its consumer makes
+#: new ``bytes``.
+Buffer = Union[bytes, memoryview]
+
+#: What is written to a connection in one call: a single buffer, or the
+#: gather list (``list`` or ``tuple``) of pieces — header, payload view,
+#: trailer — a frame is made of.  The send buffer and the L5P's TX log
+#: keep the pieces; nobody concatenates them.
+Wire = Union[Buffer, Sequence[Buffer]]
+
+
+def gather(wire: Wire) -> Sequence[Buffer]:
+    """The pieces of ``wire``: a single buffer is a gather list of one."""
+    return wire if isinstance(wire, (list, tuple)) else (wire,)
+
 
 MTU = 1500
 MSS = 1448  # MTU - IP/TCP headers with timestamps, as in the paper's setup
@@ -64,7 +83,7 @@ class Packet:
     flow: FlowKey
     seq: int = 0
     ack: int = 0
-    payload: bytes = b""
+    payload: Buffer = b""
     syn: bool = False
     fin: bool = False
     ack_flag: bool = True

@@ -9,19 +9,25 @@ care not to coalesce packets with different offload results" (§4.3).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.net.packet import SkbMeta
+from repro.net.packet import Buffer, SkbMeta, Wire, gather
 from repro.tcp import seq as sq
 
 
 @dataclass
 class Skb:
-    """An in-order run of bytes handed to the L5P, with offload results."""
+    """An in-order run of bytes handed to the L5P, with offload results.
+
+    ``data`` is whatever the wire delivered — ``bytes`` the NIC produced
+    or a read-only view of the sender's buffer — and is never copied on
+    its way up; a consumer that keeps or parses it takes ``bytes(data)``.
+    """
 
     seq: int
-    data: bytes
+    data: Buffer
     meta: SkbMeta
 
     def __len__(self) -> int:
@@ -32,21 +38,43 @@ class Skb:
         return sq.add(self.seq, len(self.data))
 
 
+def frozen(piece, limit: Optional[int] = None) -> memoryview:
+    """``piece`` (its first ``limit`` bytes) as a read-only view that no
+    later write can reach — the one place that decides what the stack
+    may hold on to: immutable ``bytes``, or a view of them, is kept by
+    reference; anything else is snapshotted."""
+    if isinstance(piece, bytes):
+        view = memoryview(piece)
+    elif (
+        isinstance(piece, memoryview)
+        and isinstance(piece.obj, bytes)
+        and piece.format == "B"
+        and piece.ndim == 1
+        and piece.contiguous
+    ):
+        view = piece
+    else:
+        return memoryview(bytes(memoryview(piece)[:limit]))
+    return view if limit is None or len(view) <= limit else view[:limit]
+
+
 class SendBuffer:
     """Bytes the application has written but TCP has not yet had ACKed.
 
     Holds the range [snd_una, snd_una + len); supports reading any
     sub-range for (re)transmission.  The payload stays where the caller
-    put it: the buffer keeps the immutable objects it was handed plus
-    each one's end position in the stream, so an L5P that logs a record
-    for TX recovery and the buffer that transmits it share one object.
+    put it: the buffer keeps a read-only view of each immutable object
+    it was handed plus the view's end position in the stream, and a
+    segment is a slice of that view — so an L5P that logs a record for
+    TX recovery, the buffer that transmits it and the packets in flight
+    all share one object.
     """
 
     def __init__(self, base_seq: int, limit: int = 4 * 1024 * 1024):
         self.base_seq = base_seq  # sequence number of the first unacked byte
         self.limit = limit
         # Stream positions count bytes since construction and never wrap.
-        self._chunks: list[bytes] = []  # _chunks[0] may be partly acked
+        self._chunks: list[memoryview] = []  # _chunks[0] may be partly acked
         self._ends: list[int] = []  # stream position just past each chunk
         self._una = 0  # stream position of base_seq
         self._end = 0  # stream position just past the last byte written
@@ -62,22 +90,30 @@ class SendBuffer:
     def end_seq(self) -> int:
         return sq.add(self.base_seq, len(self))
 
-    def append(self, data: bytes) -> int:
+    def append(self, data: Wire) -> int:
         """Append up to ``space`` bytes; returns how many were accepted.
 
-        ``bytes`` input is kept by reference; a mutable buffer is
-        snapshotted, so later writes to it never reach the wire.
+        ``data`` is one buffer or a gather list of them, taken as one
+        write.  Later writes to a caller-owned buffer never reach the
+        wire (see :func:`frozen`).
         """
-        accepted = min(len(data), self.space)
-        if accepted:
-            whole = accepted == len(data)
-            self._chunks.append(bytes(data) if whole else bytes(memoryview(data)[:accepted]))
-            self._end += accepted
-            self._ends.append(self._end)
-        return accepted
+        room = self.space
+        start = self._end
+        for piece in gather(data):
+            if not room:
+                break
+            view = frozen(piece, room)
+            if len(view):
+                self._chunks.append(view)
+                self._end += len(view)
+                self._ends.append(self._end)
+                room -= len(view)
+        return self._end - start
 
-    def peek(self, seq: int, length: int) -> bytes:
-        """Bytes for (re)transmission starting at sequence ``seq``."""
+    def peek(self, seq: int, length: int) -> Buffer:
+        """Bytes for (re)transmission starting at sequence ``seq``: a
+        view of the chunk that holds them, or joined ``bytes`` when the
+        range crosses a chunk boundary."""
         offset = sq.sub(seq, self.base_seq)
         if offset < 0 or offset + length > len(self):
             raise IndexError(
@@ -133,6 +169,10 @@ class ReassemblyQueue:
         #: Bytes parked out of order (read for every advertised window).
         self.buffered_bytes = 0
         self._segments: list[Skb] = []  # sorted by seq, non-overlapping
+        # The byte ranges ``_segments`` covers, merged into maximal runs
+        # ``(start_seq, end_seq)``, sorted: what every ACK's SACK option
+        # reports, kept here so an ACK never walks the parked segments.
+        self._blocks: list[tuple[int, int]] = []
 
     @property
     def has_gap_data(self) -> bool:
@@ -142,15 +182,9 @@ class ReassemblyQueue:
     def sack_blocks(self, limit: int = 4) -> tuple:
         """Out-of-order byte ranges for SACK options (RFC 2018), merged
         into maximal runs, lowest-first, at most ``limit`` blocks."""
-        blocks: list[tuple[int, int]] = []
-        for seg in self._segments:
-            if blocks and blocks[-1][1] == seg.seq:
-                blocks[-1] = (blocks[-1][0], seg.end_seq)
-            else:
-                blocks.append((seg.seq, seg.end_seq))
-        return tuple(blocks[:limit])
+        return tuple(self._blocks[:limit])
 
-    def insert(self, seq: int, data: bytes, meta: SkbMeta) -> list[Skb]:
+    def insert(self, seq: int, data: Buffer, meta: SkbMeta) -> list[Skb]:
         """Add a segment; returns newly in-order SKBs to deliver upward."""
         if not data:
             return self._pop_ready()
@@ -159,11 +193,15 @@ class ReassemblyQueue:
         if behind > 0:
             if behind >= len(data):
                 return []
-            data = data[behind:]
+            data = memoryview(data)[behind:]
             seq = self.rcv_nxt
         # Refuse data beyond our advertised window.
         if sq.sub(sq.add(seq, len(data)), self.rcv_nxt) > self.window:
             return []
+        if seq == self.rcv_nxt and not self._segments:
+            # In order with nothing parked, the common case: straight up.
+            self.rcv_nxt = sq.add(seq, len(data))
+            return [Skb(seq, data, meta)]
         self._insert_trimmed(Skb(seq, data, meta))
         return self._pop_ready()
 
@@ -202,6 +240,17 @@ class ReassemblyQueue:
             run.append(_piece(skb, cursor - start, end - start))
             self.buffered_bytes += end - cursor
         segs[first:last] = run
+        # The same union over the merged runs: every block the new range
+        # overlaps or touches becomes one block with it.
+        blocks = self._blocks
+        lo = bisect_left(blocks, start, key=lambda b: sq.sub(b[1], rcv))
+        hi = lo
+        while hi < len(blocks) and sq.sub(blocks[hi][0], rcv) <= end:
+            hi += 1
+        if lo < hi:
+            start = min(start, sq.sub(blocks[lo][0], rcv))
+            end = max(end, sq.sub(blocks[hi - 1][1], rcv))
+        blocks[lo:hi] = [(sq.add(rcv, start), sq.add(rcv, end))]
 
     def _pop_ready(self) -> list[Skb]:
         segs = self._segments
@@ -214,6 +263,7 @@ class ReassemblyQueue:
             return []
         ready = segs[:taken]
         del segs[:taken]
+        del self._blocks[0]  # contiguous from rcv_nxt: exactly the first run
         self.buffered_bytes -= sq.sub(rcv, self.rcv_nxt)
         self.rcv_nxt = rcv
         return ready
@@ -225,4 +275,4 @@ def _piece(skb: Skb, lo: int, hi: int) -> Skb:
     alike."""
     if lo == 0 and hi == len(skb.data):
         return skb
-    return Skb(sq.add(skb.seq, lo), skb.data[lo:hi], skb.meta.copy())
+    return Skb(sq.add(skb.seq, lo), memoryview(skb.data)[lo:hi], skb.meta.copy())

@@ -17,7 +17,7 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Optional
 
-from repro.net.packet import FlowKey, MSS, Packet
+from repro.net.packet import Buffer, FlowKey, MSS, Packet, Wire
 from repro.sim.event import Event
 from repro.tcp import seq as sq
 from repro.tcp.buffer import ReassemblyQueue, SendBuffer, Skb
@@ -138,8 +138,9 @@ class TcpConnection:
     def send_space(self) -> int:
         return self.send_buffer.space
 
-    def send(self, data: bytes) -> int:
-        """Queue bytes for transmission; returns how many were accepted."""
+    def send(self, data: Wire) -> int:
+        """Queue bytes (one buffer or a gather list of them) for
+        transmission; returns how many were accepted."""
         if self.state not in (ESTABLISHED, CLOSE_WAIT):
             raise RuntimeError(f"send() in state {self.state}")
         if self._fin_queued:
@@ -168,7 +169,7 @@ class TcpConnection:
         if self.flight:
             self._arm_rto(only_if_unarmed=True)
 
-    def _emit_data(self, seg_seq: int, payload: bytes, retransmit: bool = False) -> None:
+    def _emit_data(self, seg_seq: int, payload: Buffer, retransmit: bool = False) -> None:
         pkt = Packet(
             self.flow,
             seq=seg_seq,

@@ -43,6 +43,22 @@ class TestIperf:
         offload = goodput(TlsConfig(tx_offload=True))
         assert offload > soft * 1.5  # paper: 3.3x on transmit
 
+    def test_sink_counts_exactly_what_the_stack_delivered(self):
+        # TCP hands the sink Skbs around views of the sender's buffer,
+        # kTLS hands it plaintext bytes; both count by size.
+        tb = make_testbed()
+        server = IperfServer(tb.generator, port=5201)
+        IperfClient(tb.server, "generator", streams=2)
+        tb.run(until=0.005)
+        delivered = sum(c.bytes_received for c in tb.generator.tcp.connections.values())
+        assert server.total_bytes == delivered > 0
+
+        tb = make_testbed()
+        server = IperfServer(tb.generator, tls=TlsConfig(rx_offload=True))
+        IperfClient(tb.server, "generator", streams=2, tls=TlsConfig(tx_offload=True))
+        tb.run(until=0.005)
+        assert server.total_bytes == sum(s.stats.bytes_rx for s in server.tls_sockets) > 0
+
     def test_many_streams(self):
         tb = make_testbed()
         server = IperfServer(tb.generator, port=5201)

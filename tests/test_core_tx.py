@@ -213,6 +213,50 @@ class TestStaleRetransmission:
             h.send_packet(boundary - 30, plain[boundary - 30 : boundary + 40])
 
 
+class TestViewPayloads:
+    """Segments reach the NIC as read-only views of the send buffer; the
+    engine cuts the raw head off them and puts it back without assuming
+    ``bytes`` (``view + bytes`` is a TypeError)."""
+
+    START = 50  # created_seq: the 20 bytes before it predate the offload
+    RAW = b"r" * 20
+
+    def _transmit(self, h, software, seq, payload):
+        pkt = Packet(FLOW, seq=seq, payload=memoryview(payload))
+        pkt.tx_ctx_id = h.conn.tx_ctx_id
+        if software:
+            h.nic.tx_engine.process_software(h.ctx, h.conn, pkt)
+        else:
+            h.nic.transmit(h.conn, pkt)  # through the sanitizer's SAN-TX-SIZE check
+        return pkt
+
+    @pytest.mark.parametrize("software", [False, True], ids=["nic", "host-shadow"])
+    def test_retransmission_straddling_created_seq(self, software):
+        h = TxHarness(start_seq=self.START)
+        body = b"v" * 100
+        plain = h.ops.stage(body)
+        pkt = self._transmit(h, software, self.START - 20, self.RAW + plain[:60])
+        assert pkt.payload == self.RAW + encode_message(body, 0)[:60]
+        assert h.ctx.expected_seq == self.START + 60
+
+    @pytest.mark.parametrize("software", [False, True], ids=["nic", "host-shadow"])
+    def test_stale_head_joins_the_raw_head(self, software):
+        h = TxHarness(start_seq=self.START)
+        bodies = [b"A" * 100, b"B" * 100]
+        plain = b"".join(h.ops.stage(b) for b in bodies)
+        for seg_seq, chunk in segments(plain, 72):
+            h.send_packet(self.START + seg_seq, chunk)
+        correct = h.wire_bytes()
+        boundary = len(plain) // 2
+        acked = boundary + 10
+        h.conn.snd_una = self.START + acked  # the ACK passed message 0 ...
+        del h.ops.messages[0]  # ... so the L5P released it
+        pkt = self._transmit(h, software, self.START - 20, self.RAW + plain[: boundary + 40])
+        assert pkt.payload[:20] == self.RAW
+        assert pkt.payload[20 : 20 + acked] == bytes(acked)  # the receiver trims these
+        assert pkt.payload[20 + acked :] == correct[acked : boundary + 40]
+
+
 class TestTxValidation:
     def test_unparseable_stream_raises(self):
         h = TxHarness()

@@ -22,6 +22,7 @@ from repro.exec import (
 )
 from repro.exec import engine
 from repro.exec.engine import DEFAULT_MIN_PARALLEL_POINTS, MIN_POINTS_ENV, WORKERS_ENV
+from repro.experiments.iperf_tls import run_iperf
 from repro.faults.chaos import chaos_point
 
 
@@ -41,6 +42,11 @@ def chaos_tls_point(seed):
     # Armed FaultPlan + runtime sanitizer, derived from the seed alone
     # (the fig-sweep/chaos shape: a whole simulation per grid point).
     return chaos_point(workload="tls", seed=seed, duration=3e-3)
+
+
+def iperf_point(point):
+    mode, seed = point
+    return run_iperf(mode, "rx", streams=2, loss=0.01, warmup=2e-3, measure=2e-3, seed=seed)
 
 
 # --- engine unit behavior ------------------------------------------------
@@ -132,6 +138,16 @@ def test_serial_and_parallel_merge_byte_identical(monkeypatch):
     assert as_json(parallel) == as_json(serial)
     # The runs did something: fault plans armed, streams verified.
     assert all(r["plan"] for r in serial)
+
+
+def test_iperf_results_cross_the_pool_boundary():
+    """Payloads move through the stack as memoryviews, which do not
+    pickle: nothing a grid point returns may hold on to one — plain TCP
+    (the sink sees Skbs around views) and kTLS alike."""
+    points = [("tcp", 1), ("tls-offload", 2)]
+    pooled = run_grid(points, iperf_point, workers=2, force_pool=True)
+    assert pooled == run_grid(points, iperf_point, workers=1)
+    assert all(run.bytes_moved > 0 for run in pooled)
 
 
 def test_workers_env_is_honored_by_default_path(monkeypatch):

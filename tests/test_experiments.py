@@ -1,6 +1,8 @@
 """Smoke tests for the experiment runners (tiny durations): every
 figure's runner must produce sane, internally consistent results."""
 
+import tracemalloc
+
 import pytest
 
 from repro.experiments.fio_cycles import run_fio_point
@@ -8,6 +10,44 @@ from repro.experiments.iperf_tls import run_iperf
 from repro.experiments.nginx_bench import run_nginx, variant_tls
 from repro.experiments.rof_bench import run_rof
 from repro.experiments.scalability import run_scale_point
+from repro.harness.testbed import Testbed
+
+
+class TestByteBudget:
+    """The payload of a run is written once by the application and moves
+    through every layer by reference, so what the simulator itself
+    allocates must stay well below the bytes it has in flight.  A copy
+    per segment (``SendBuffer.peek``, a receive queue) or per record
+    (kTLS record assembly, the TX log) brings the traced peak above 100 %
+    of them; per-packet bookkeeping alone reads 42 % (TCP) and 19 % (TLS)."""
+
+    BUDGET = 0.6  # traced peak / bytes sitting in send buffers at the end
+
+    @pytest.mark.parametrize(
+        "mode, kwargs",
+        [("tcp", {}), ("tls-offload", {"loss": 0.01})],
+        ids=["tcp-clean", "tls-offload-lossy"],
+    )
+    def test_traced_peak_stays_under_a_fraction_of_bytes_in_flight(self, mode, kwargs, monkeypatch):
+        testbeds = []
+        init = Testbed.__init__
+
+        def capture(self, *args, **kwargs):
+            testbeds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Testbed, "__init__", capture)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            run = run_iperf(mode, "rx", streams=4, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (tb,) = testbeds
+        in_flight = sum(len(c.send_buffer) for c in tb.generator.tcp.connections.values())
+        assert run.bytes_moved > 0 and in_flight > 12 * 1024 * 1024  # four 4 MiB send buffers, full
+        assert peak - before < self.BUDGET * in_flight
 
 
 class TestIperfRunner:

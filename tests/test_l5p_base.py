@@ -62,6 +62,16 @@ class TestAssembler:
         sliced = m.slice_runs(2, 5)
         assert b"".join(r.data for r in sliced) == b"cdefg"
 
+    def test_runs_are_views_of_the_pushed_buffers(self):
+        a = asm()
+        first, second = msg(10) + msg(6)[:3], msg(6)[3:] + msg(4)
+        a.push(first, SkbMeta())
+        out = a.push(memoryview(second), SkbMeta())  # a packet payload arrives as a view
+        assert [m.wire for m in out] == [msg(6), msg(4)]
+        (head, tail), (whole,) = out[0].runs, out[1].runs
+        assert head.data.obj is first and tail.data.obj is second and whole.data.obj is second
+        assert out[0].cut(1, 4) == msg(6)[1:5] and type(out[0].cut(1, 4)) is bytes
+
     def test_bad_length_raises(self):
         a = asm()
         with pytest.raises(ValueError):

@@ -6,12 +6,14 @@ error routing — each also across the 2^32 sequence wrap."""
 
 import pytest
 
+from repro.core.context import HwContext
 from repro.core.types import Direction
+from repro.core.walker import replay, walk
 from repro.l5p.base import TxLog
 from repro.net.packet import FlowKey, SkbMeta
 from repro.tcp import seq as sq
 from repro.tcp.buffer import SendBuffer, Skb
-from toy_l5p import HEADER_LEN, TRAILER_LEN, ToyEndpoint, encode_message, plain_message
+from toy_l5p import HEADER_LEN, TRAILER_LEN, ToyAdapter, ToyEndpoint, encode_message, plain_message
 
 NEAR_WRAP = sq.MOD - 40  # the second 28-byte toy frame from here straddles 2^32
 
@@ -150,6 +152,52 @@ class TestTxLog:
         assert log.head()[1] == 2
         log.prune(sq.add(start, 200))
         assert log.head() is None and log.sent == 3
+
+    def test_gather_list_record_replays_as_its_concatenation(self):
+        # An offloaded frame is logged as the pieces TCP's send buffer
+        # holds — (header, view of the caller's body, dummy trailer) —
+        # and joined only to answer l5o_get_tx_msgstate.
+        body = bytes(range(251)) * 2
+        plain = plain_message(body)
+        pieces = (plain[:HEADER_LEN], memoryview(b"<" + body + b">")[1:-1], plain[-TRAILER_LEN:])
+        log = TxLog()
+        log.track(sq.add(NEAR_WRAP, -50), b"p" * 50)
+        log.track(NEAR_WRAP, pieces)  # 510 B from 40 below the wrap
+        assert log.head()[:2] == (sq.add(NEAR_WRAP, -50), 0)
+        log.prune(NEAR_WRAP)
+        assert log.head()[2] is pieces  # kept, not copied
+        assert log.lookup(sq.add(NEAR_WRAP, len(plain))) is None  # one past its end
+
+        wire = encode_message(body, 1)
+        for offset in (0, 2, HEADER_LEN, 39, 40, 41, 300, len(plain) - 2, len(plain) - 1):
+            state = log.lookup(sq.add(NEAR_WRAP, offset))
+            assert (state.start_seq, state.msg_index) == (NEAR_WRAP, 1)
+            assert type(state.wire_bytes) is bytes and state.wire_bytes == plain
+            # Replaying the prefix repositions a context exactly as the
+            # concatenated record would: the rest transforms identically.
+            ctx = HwContext(1, ScriptedConn.flow, Direction.TX, ToyAdapter(), None, tcpsn=NEAR_WRAP, msg_index=1)
+            replay(ctx, state.wire_bytes[:offset])
+            assert walk(ctx, plain[offset:]).out == wire[offset:]
+
+        log.prune(sq.add(NEAR_WRAP, len(plain) - 1))
+        assert log.head()[1] == 1
+        log.prune(sq.add(NEAR_WRAP, len(plain)))
+        assert log.head() is None
+
+    def test_endpoint_hands_log_and_send_buffer_the_same_pieces(self):
+        conn = ScriptedConn(isn=NEAR_WRAP)
+        ep, _ = endpoint(conn, tx_offload=True)
+        body = bytes(range(200))
+        plain = plain_message(body)
+        pieces = (plain[:HEADER_LEN], body, plain[-TRAILER_LEN:])
+        ep._queue(pieces)
+        assert conn.sends == [pieces] and ep._tx.head()[2] is pieces
+        assert conn.send_buffer.peek(sq.add(NEAR_WRAP, HEADER_LEN + 10), 50).obj is body
+        assert ep.l5o_get_tx_msgstate(sq.add(NEAR_WRAP, 100)).wire_bytes == plain
+        ep._queue((b"x" * 2000, b"y" * 2000))  # sized by its total: 4000 B do not fit behind 208
+        assert len(conn.sends) == 1
+        conn.ack(sq.add(NEAR_WRAP, len(plain)))
+        assert len(conn.sends) == 2 and ep._tx.head()[4] == 4000
 
     def test_uncovered_messages_are_counted_not_kept(self):
         log = TxLog()

@@ -230,7 +230,7 @@ class TestMagicNeverMissesOwnFrames:
     @given(cid=st.integers(0, 0xFFFF), status=st.integers(0, 1))
     @settings(max_examples=40, deadline=None)
     def test_nvme_tcp(self, cid, status):
-        pdu = P.build_pdu(P.TYPE_CAPSULE_RESP, P.make_cqe(cid, status), b"", Crc32c, False)
+        (pdu,) = P.build_pdu(P.TYPE_CAPSULE_RESP, P.make_cqe(cid, status), b"", Crc32c, False)
         _assert_own_frame_recognized("nvme-tcp", pdu)
 
     @given(

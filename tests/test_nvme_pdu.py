@@ -10,6 +10,11 @@ from repro.l5p.nvme_tcp.pdu import NvmeAdapter, NvmeConfig
 from repro.net.packet import SkbMeta
 
 
+def build_pdu(*args, **kwargs) -> bytes:
+    """The PDU as it appears on the wire: the gather list joined."""
+    return b"".join(P.build_pdu(*args, **kwargs))
+
+
 class TestWireFormats:
     def test_sqe_round_trip(self):
         sqe = P.make_sqe(P.OPC_READ, cid=7, slba=123456789, length=65536)
@@ -27,17 +32,26 @@ class TestWireFormats:
 
     def test_build_pdu_with_digest(self):
         data = b"payload" * 100
-        pdu = P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, len(data)), data, Crc32c, True)
+        pdu = build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, len(data)), data, Crc32c, True)
         assert P.pdu_total_len(pdu[:8]) == len(pdu)
         assert pdu[-4:] == Crc32c(data).digest()
 
     def test_build_pdu_dummy_digest(self):
         data = b"x" * 50
-        pdu = P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, 50), data, Crc32c, True, dummy_digest=True)
+        pdu = build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, 50), data, Crc32c, True, dummy_digest=True)
         assert pdu[-4:] == b"\x00\x00\x00\x00"
 
+    def test_build_pdu_is_a_gather_list_around_the_callers_data(self):
+        data = b"payload" * 100
+        head, body, digest = P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, len(data)), data, Crc32c, True)
+        assert body is data  # referenced, not copied
+        assert len(head) == P.CH_LEN + P.PSH_LEN[P.TYPE_C2H_DATA] and digest == Crc32c(data).digest()
+        view = memoryview(data)[7:70]
+        assert P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 7, 63), view, Crc32c, False)[1] is view
+        assert len(P.build_pdu(P.TYPE_CAPSULE_RESP, P.make_cqe(1, 0), b"", Crc32c, True)) == 1
+
     def test_no_digest_without_data(self):
-        pdu = P.build_pdu(P.TYPE_CAPSULE_RESP, P.make_cqe(1, 0), b"", Crc32c, True)
+        pdu = build_pdu(P.TYPE_CAPSULE_RESP, P.make_cqe(1, 0), b"", Crc32c, True)
         assert len(pdu) == P.CH_LEN + P.PSH_LEN[P.TYPE_CAPSULE_RESP]
 
     def test_total_len_rejects_junk(self):
@@ -50,7 +64,7 @@ class TestWireFormats:
 
     def test_wrong_psh_length_rejected(self):
         with pytest.raises(ValueError):
-            P.build_pdu(P.TYPE_CAPSULE_CMD, b"short", b"", Crc32c, False)
+            build_pdu(P.TYPE_CAPSULE_CMD, b"short", b"", Crc32c, False)
 
 
 def make_adapter(place=False):
@@ -59,7 +73,7 @@ def make_adapter(place=False):
 
 class TestNvmeAdapter:
     def test_parse_header(self):
-        pdu = P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, 1000), b"d" * 1000, Crc32c, True)
+        pdu = build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, 1000), b"d" * 1000, Crc32c, True)
         desc = make_adapter().parse_header(pdu[:8], None)
         assert desc is not None
         assert desc.header_len == 8
@@ -68,7 +82,7 @@ class TestNvmeAdapter:
 
     def test_magic_accepts_valid_rejects_noise(self):
         adapter = make_adapter()
-        pdu = P.build_pdu(P.TYPE_CAPSULE_RESP, P.make_cqe(1, 0), b"", Crc32c, False)
+        pdu = build_pdu(P.TYPE_CAPSULE_RESP, P.make_cqe(1, 0), b"", Crc32c, False)
         assert adapter.check_magic(pdu[:8], None)
         assert not adapter.check_magic(b"\xde\xad\xbe\xef\xde\xad\xbe\xef", None)
         assert not adapter.check_magic(b"\x04", None)  # too short
@@ -76,7 +90,7 @@ class TestNvmeAdapter:
     def test_transform_digest_tx(self):
         adapter = make_adapter()
         data = bytes(range(256)) * 4
-        pdu = P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, len(data)), data, Crc32c, True)
+        pdu = build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, len(data)), data, Crc32c, True)
         desc = adapter.parse_header(pdu[:8], None)
         t = adapter.begin_message(Direction.TX, None, desc, 0, rr_state={})
         body = pdu[8:-4]
@@ -86,7 +100,7 @@ class TestNvmeAdapter:
     def test_transform_verify_rx(self):
         adapter = make_adapter()
         data = b"blockdata" * 77
-        pdu = P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(2, 0, len(data)), data, Crc32c, True)
+        pdu = build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(2, 0, len(data)), data, Crc32c, True)
         desc = adapter.parse_header(pdu[:8], None)
         t = adapter.begin_message(Direction.RX, None, desc, 0, rr_state={})
         t.process(pdu[8:-4])
@@ -96,7 +110,7 @@ class TestNvmeAdapter:
         adapter = make_adapter(place=True)
         data = b"Z" * 500
         buffer = bytearray(1000)
-        pdu = P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(5, 100, len(data)), data, Crc32c, True)
+        pdu = build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(5, 100, len(data)), data, Crc32c, True)
         desc = adapter.parse_header(pdu[:8], None)
         t = adapter.begin_message(Direction.RX, None, desc, 0, rr_state={5: buffer})
         # Feed in dribbles to exercise the PSH/data split logic.
@@ -109,7 +123,7 @@ class TestNvmeAdapter:
     def test_placement_missing_cid_flags_failure(self):
         adapter = make_adapter(place=True)
         data = b"Z" * 10
-        pdu = P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(42, 0, 10), data, Crc32c, True)
+        pdu = build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(42, 0, 10), data, Crc32c, True)
         desc = adapter.parse_header(pdu[:8], None)
         t = adapter.begin_message(Direction.RX, None, desc, 0, rr_state={})
         t.process(pdu[8:-4])
@@ -122,7 +136,7 @@ class TestNvmeAdapter:
         adapter = make_adapter(place=True)
         buffer = bytearray(100)
         data = b"Z" * 200  # bigger than the buffer
-        pdu = P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, 200), data, Crc32c, True)
+        pdu = build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, 200), data, Crc32c, True)
         desc = adapter.parse_header(pdu[:8], None)
         t = adapter.begin_message(Direction.RX, None, desc, 0, rr_state={1: buffer})
         t.process(pdu[8:-4])
@@ -132,7 +146,7 @@ class TestNvmeAdapter:
     @given(data=st.binary(min_size=0, max_size=400), chop=st.integers(min_value=1, max_value=50))
     def test_incremental_digest_any_chunking(self, data, chop):
         adapter = make_adapter()
-        pdu = P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, len(data)), data, Crc32c, bool(data))
+        pdu = build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, len(data)), data, Crc32c, bool(data))
         desc = adapter.parse_header(pdu[:8], None)
         if desc.trailer_len == 0:
             return

@@ -23,8 +23,8 @@ def nvme_cfg(**kw):
 
 
 def build_pdu(data: bytes, cid=1, offset=0, dummy=False) -> bytes:
-    return P.build_pdu(
-        P.TYPE_C2H_DATA, P.make_data_psh(cid, offset, len(data)), data, Crc32c, True, dummy_digest=dummy
+    return b"".join(
+        P.build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(cid, offset, len(data)), data, Crc32c, True, dummy_digest=dummy)
     )
 
 

@@ -23,6 +23,14 @@ class TestFraming:
         assert F.parse_header(b"$ffffffff\r\n") is None  # over MAX_INLINE
         assert F.parse_header(F.make_frame(b"x")[: F.HEADER_LEN]) == 1
 
+    def test_header_parses_from_a_view(self):
+        # The NIC's search scan and the walker hand over views of packet
+        # payloads; int(view, 16) is a TypeError.
+        wire = memoryview(b"junk" + F.make_frame(b"GET user:17"))
+        assert F.parse_header(wire[4 : 4 + F.HEADER_LEN]) == len(b"GET user:17")
+        assert F.total_len(wire[4 : 4 + F.HEADER_LEN]) == len(wire) - 4
+        assert F.parse_header(wire[3 : 3 + F.HEADER_LEN]) is None
+
     def test_steer_key_extraction(self):
         assert F.steer_key(b"GET user:17") == b"user:17"
         assert F.steer_key(b"SET user:17 value") == b"user:17"

@@ -146,23 +146,63 @@ class _FlatSendBuffer:
         return advance
 
 
+def _as_kind(data: bytes, kind: str):
+    """``data`` the way a caller might own it, plus the ``bytearray`` to
+    scribble on afterwards (None when the caller cannot write to it)."""
+    if kind == "bytes":
+        return data, None
+    if kind == "view-of-bytes":
+        return memoryview(b"<<" + data + b">>")[2 : 2 + len(data)], None
+    source = bytearray(data)
+    return (memoryview(source) if kind == "writable-view" else source), source
+
+
+_KINDS = st.sampled_from(["bytes", "view-of-bytes", "bytearray", "writable-view"])
+
+
 class SendBufferMachine(RuleBasedStateMachine):
     """Random append / peek / ack_to against the flat model, starting
     within 64 KiB of the 2^32 wrap, with a limit small enough that
-    appends are regularly cut short and peeks span several chunks."""
+    appends are regularly cut short and peeks span several chunks.
+    Appends are single buffers or gather lists of every kind a caller
+    may own; whatever it can still write to is overwritten right after
+    the call, and no later peek may see that."""
 
     @initialize(below_wrap=st.integers(1, 64 * 1024), limit=st.integers(1, 6000))
     def setup(self, below_wrap, limit):
         self.real = SendBuffer(MOD - below_wrap, limit=limit)
         self.model = _FlatSendBuffer(MOD - below_wrap, limit)
+        self.written = 0  # stream position just past the last accepted byte
+        self.kept = []  # (start, end, object) of immutable pieces the buffer should reference
 
-    @rule(data=st.binary(max_size=2500), kind=st.sampled_from([bytes, bytearray, memoryview]))
+    def _append(self, pieces, gather=None):
+        """Append ``[(data, kind), ...]`` as one ``gather`` (list or
+        tuple) write, or, with one piece and no ``gather``, as a buffer."""
+        owned = [_as_kind(data, kind) for data, kind in pieces]
+        handed = [piece for piece, _ in owned]
+        flat = b"".join(data for data, _ in pieces)
+        accepted = self.real.append(gather(handed) if gather else handed[0])
+        assert accepted == self.model.append(flat)
+        pos = self.written
+        self.written += accepted
+        for (piece, source), (data, _) in zip(owned, pieces):
+            end = min(pos + len(data), self.written)
+            if source is None and end > pos:
+                self.kept.append((pos, end, piece.obj if isinstance(piece, memoryview) else piece))
+            pos += len(data)
+            if source is not None:  # the caller reuses its buffer: the wire must not see it
+                source[:] = bytes(b ^ 0xFF for b in source)
+
+    @rule(data=st.binary(max_size=2500), kind=_KINDS)
     def append(self, data, kind):
-        source = bytearray(data)
-        written = memoryview(source) if kind is memoryview else kind(source)
-        assert self.real.append(written) == self.model.append(data)
-        for i in range(len(source)):  # the caller reuses its buffer: the wire must not see it
-            source[i] ^= 0xFF
+        self._append([(data, kind)])
+
+    @rule(
+        pieces=st.lists(st.tuples(st.binary(max_size=900), _KINDS), max_size=5),
+        gather=st.sampled_from([list, tuple]),
+    )
+    def append_gather(self, pieces, gather):
+        self._append(pieces, gather)
 
     @precondition(lambda self: len(self.model))
     @rule(where=st.floats(0, 1), span=st.floats(0, 1))
@@ -170,7 +210,15 @@ class SendBufferMachine(RuleBasedStateMachine):
         offset = int(where * len(self.model))
         length = int(span * (len(self.model) - offset))
         seq = sq.add(self.model.base_seq, offset)
-        assert self.real.peek(seq, length) == self.model.peek(seq, length)
+        got = self.real.peek(seq, length)
+        assert got == self.model.peek(seq, length)
+        # A range inside one referenced piece is a view of that very
+        # object; nothing handed out is ever writable.
+        start = self.written - len(self.model) + offset
+        for lo, hi, obj in self.kept:
+            if length and lo <= start and start + length <= hi:
+                assert isinstance(got, memoryview) and got.obj is obj
+        assert isinstance(got, bytes) or got.readonly
 
     @rule(before=st.integers(1, 100), beyond=st.integers(1, 100))
     def peek_outside_raises(self, before, beyond):
@@ -363,12 +411,52 @@ class ReassemblyMachine(RuleBasedStateMachine):
             for pos, byte in enumerate(seg.data, start):
                 held[pos] = (byte, seg.meta.steer_queue)
         assert held == self.parked
-        blocks = q.sack_blocks(limit=1 << 30)
-        assert sum(sq.sub(end, start) for start, end in blocks) == len(self.parked)
+        # The maintained SACK runs are what a walk over every parked
+        # segment (how sack_blocks used to work) would merge.
+        walked = []
+        for seg in q._segments:
+            if walked and walked[-1][1] == seg.seq:
+                walked[-1] = (walked[-1][0], seg.end_seq)
+            else:
+                walked.append((seg.seq, seg.end_seq))
+        assert q.sack_blocks(limit=1 << 30) == tuple(walked)
+        assert q.sack_blocks() == tuple(walked[:4])
 
 
 TestReassemblyAgainstByteMap = ReassemblyMachine.TestCase
 TestReassemblyAgainstByteMap.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
+
+
+def test_sack_blocks_cost_is_the_number_of_blocks_not_segments():
+    """Every ACK sent while data is parked asks for the SACK blocks; with
+    thousands of segments behind one lost retransmission that walk was
+    the heavy tail of lossy runs.  Count operations, not seconds: after
+    3 runs x 700 segments are parked, answering touches no ``Skb``."""
+
+    class Untouchable(list):
+        def _refuse(self, *args):
+            raise AssertionError("sack_blocks() read the parked segments")
+
+        __iter__ = __getitem__ = __len__ = _refuse
+
+    q = ReassemblyQueue(rcv_nxt=0)
+    size, per_run, gap = 100, 700, 50
+    expect = []
+    for run in range(3):
+        base = 1000 + run * (per_run * size + gap)
+        expect.append((base, base + per_run * size))
+        order = list(range(per_run))
+        order = order[1::2] + order[::2]  # every second segment first: runs merge late
+        for i in order:
+            q.insert(base + i * size, bytes(size), meta())
+    assert len(q._segments) == 3 * per_run
+    parked, q._segments = q._segments, Untouchable(q._segments)
+    assert q.sack_blocks() == tuple(expect)
+    assert q.sack_blocks(limit=2) == tuple(expect[:2])
+    q._segments = parked
+    out = q.insert(0, bytes(1000), meta())  # fill the first hole: exactly the first run pops
+    assert sum(len(s) for s in out) == 1000 + per_run * size
+    assert q.sack_blocks() == tuple(expect[1:])
 
 
 class TestRenoCc:

@@ -1,11 +1,16 @@
 """End-to-end kTLS tests: software mode, offloaded mode, fault injection,
 partial-record fallback, and resynchronization over real TCP."""
 
+from dataclasses import replace
+
 import pytest
 
 from helpers import make_pair
 from repro.l5p.tls import KtlsSocket, TlsConfig
+from repro.l5p.tls.record import CONTENT_APPDATA, HEADER_LEN, MAX_PLAINTEXT, TAG_LEN, make_header
 from repro.nic import OffloadNic
+from repro.tcp import seq as sq
+from repro.tcp.buffer import frozen
 
 
 def tls_pair(
@@ -156,6 +161,98 @@ class TestOffloadedTls:
             received, _, _ = run_tls_transfer(pair, payload, cfg, SOFT)
             outs.append(received)
         assert outs[0] == outs[1] == payload
+
+    @pytest.mark.parametrize("loss", [0.0, 0.02])
+    def test_real_aes_gcm_suite_on_both_nics(self, loss):
+        """The real cipher sees what the fast one sees: packet-sized views
+        from the NIC walk (cut off the GHASH block grid) and, under loss,
+        from TX context recovery and the partial-record fallback."""
+        pair = tls_pair(seed=3, loss_to_server=loss)
+        payload = bytes(i % 251 for i in range(60_000))
+        received, _, server = run_tls_transfer(
+            pair, payload, replace(OFFLOAD_TX, suite_name="aes-gcm"), replace(OFFLOAD_RX, suite_name="aes-gcm")
+        )
+        assert received == payload
+        assert server.stats.auth_failures == 0 and server.stats.records_rx_full > 0
+        if loss:
+            assert server.stats.records_rx_partial > 0
+            assert pair.client.nic.offload_stats()["tx_recoveries"] > 0
+        else:
+            assert server.stats.records_rx_full == server.stats.records_rx
+
+
+class TestOneCopyBytePath:
+    """What the application wrote is what the send buffer, the TX log and
+    the segments reference; nothing in between concatenates a record."""
+
+    def _send_once(self, client_cfg, message):
+        pair = tls_pair()
+        received = bytearray()
+        seen = {}
+
+        def on_accept(conn):
+            KtlsSocket(pair.server, conn, "server", OFFLOAD_RX).on_data = received.extend
+
+        pair.server.tcp.listen(443, on_accept)
+        conn = pair.client.tcp.connect("server", 443)
+        client = KtlsSocket(pair.client, conn, "client", client_cfg)
+
+        def send() -> None:
+            start = conn.send_buffer.end_seq
+            assert client.send(message) == len(message)
+            seen["body"] = conn.send_buffer.peek(sq.add(start, HEADER_LEN + 100), 1000)
+            seen["state"] = client.l5o_get_tx_msgstate(sq.add(start, 9000))
+            if isinstance(message, bytearray):
+                message[:] = bytes(len(message))  # the caller reuses and then
+                del message[100:]  # resizes its buffer: nothing may hold an export of it
+
+        client.on_ready = send
+        pair.sim.run(until=5.0)
+        return bytes(received), seen
+
+    def test_offloaded_record_references_the_applications_bytes(self):
+        message = bytes(range(256)) * 128  # two records
+        received, seen = self._send_once(OFFLOAD_TX, message)
+        assert received == message
+        assert seen["body"].obj is message  # a segment is a view of what the app wrote
+        record = make_header(CONTENT_APPDATA, MAX_PLAINTEXT + TAG_LEN) + message[:MAX_PLAINTEXT] + bytes(TAG_LEN)
+        assert seen["state"].wire_bytes == record and seen["state"].msg_index == 0
+
+    def test_software_record_is_the_ciphers_output_untouched(self):
+        message = bytes(range(256)) * 128
+        received, seen = self._send_once(SOFT, message)
+        assert received == message
+        assert seen["state"] is None  # no TX context: nothing logged
+        assert isinstance(seen["body"], memoryview) and seen["body"].obj is not message
+        assert len(seen["body"].obj) == MAX_PLAINTEXT  # the ciphertext object itself, not header+body+tag
+
+    @pytest.mark.parametrize("cfg", [SOFT, OFFLOAD_TX], ids=["software", "offload"])
+    def test_a_mutable_buffer_is_snapshotted_and_left_free(self, cfg):
+        message = bytes(range(256)) * 128
+        received, _ = self._send_once(cfg, bytearray(message))
+        assert received == message
+
+    def test_a_mutable_buffer_is_copied_only_where_it_was_accepted(self, monkeypatch):
+        """A short write must not snapshot the part it refuses: the
+        caller retries with the remainder, and would pay O(n^2) bytes."""
+        from repro.l5p.tls import ktls
+
+        snapshots = []
+        monkeypatch.setattr(ktls, "frozen", lambda piece: snapshots.append(len(piece)) or frozen(piece))
+        pair = tls_pair()
+        pair.server.tcp.listen(443, lambda conn: KtlsSocket(pair.server, conn, "server", SOFT))
+        conn = pair.client.tcp.connect("server", 443)
+        client = KtlsSocket(pair.client, conn, "client", OFFLOAD_TX)
+        message = bytearray(64 * MAX_PLAINTEXT)
+        accepted = []
+
+        def send() -> None:
+            conn.send_buffer.limit = len(conn.send_buffer) + MAX_PLAINTEXT + 100  # room for one record
+            accepted.append(client.send(message))
+
+        client.on_ready = send
+        pair.sim.run(until=1.0)
+        assert accepted == [MAX_PLAINTEXT] and snapshots == [MAX_PLAINTEXT]
 
 
 class TestTlsUnderFaults:

@@ -40,6 +40,17 @@ class TestRawTransport:
         assert events == ["ready"]
         assert bytes(got) == b"payload"
 
+    def test_applications_get_bytes_not_views(self):
+        # Apps parse with bytes-only methods and keep what they are
+        # given: the raw path makes the recvmsg copy kTLS makes anyway.
+        pair, t = pair_with_transports()
+        got = []
+        pair.sim.schedule(0.001, lambda: setattr(t["server"], "on_data", got.append))
+        pair.sim.schedule(0.002, lambda: t["client"].send(b"GET /index.html\r\n" * 200))
+        pair.sim.run(until=0.1)
+        assert got and all(type(chunk) is bytes for chunk in got)
+        assert b"".join(got) == b"GET /index.html\r\n" * 200
+
     def test_sendfile_charges_page_lookups_not_copy(self):
         pair, t = pair_with_transports()
         pair.sim.run(until=0.01)

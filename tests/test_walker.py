@@ -83,6 +83,52 @@ class TestTrackingMode:
         assert rest.out == plain[cut:]
 
 
+class _PassThroughTransform(MsgTransform):
+    """A digest-style transform: reads the bytes, returns what it got."""
+
+    def __init__(self):
+        self.seen = []
+
+    def process(self, data):
+        self.seen.append(data)
+        return data
+
+    def verify_rx(self, wire_trailer):
+        return True
+
+
+class _PassThroughAdapter(ToyAdapter):
+    def begin_message(self, direction, static_state, desc, msg_index, rr_state=None):
+        return _PassThroughTransform()
+
+
+class TestNoCopies:
+    """The walker copies nothing a transform did not write."""
+
+    def test_tracking_walk_returns_its_input(self):
+        wire = encode_message(b"secret" * 10, 0) + encode_message(b"next", 1)[:3]
+        for data in (wire, memoryview(wire), memoryview(b"." + wire)[1:]):
+            assert walk(rx_ctx(), data, emit=False).out is data
+
+    def test_run_inside_one_body_is_the_transforms_own_output(self):
+        ctx = HwContext(4, FLOW, Direction.RX, _PassThroughAdapter(), None, tcpsn=0)
+        wire = encode_message(b"x" * 100, 0)
+        walk(ctx, wire[:10])  # header + 6 body bytes
+        packet = memoryview(wire)[10:80]  # entirely inside the body
+        out = walk(ctx, packet).out
+        assert out is ctx.transform.seen[-1]  # not a joined copy of it
+        assert out.obj is wire and out == packet  # ... and what the transform saw is a view of the packet
+
+    def test_pieces_handed_to_transforms_are_views_of_the_input(self):
+        ctx = HwContext(5, FLOW, Direction.RX, _PassThroughAdapter(), None, tcpsn=0)
+        wire = encode_message(b"a" * 20, 0) + encode_message(b"b" * 20, 1)
+        transforms = []
+        original = ctx.start_message
+        ctx.start_message = lambda desc: (original(desc), transforms.append(ctx.transform))
+        assert walk(ctx, wire).out == wire  # crossing a boundary joins: one copy, of the output
+        assert [t.seen[0].obj is wire for t in transforms] == [True, True]
+
+
 def plain_msg_bytes(body):
     wire = encode_message(body, 0)
     return wire[:4] + body + wire[4 + len(body) :]
