@@ -11,11 +11,12 @@ argument made executable through the L5Protocol plugin registry:
    recovery can never ride a fixed record cadence.  Emitted metrics
    include the NIC's resync counters.
 2. **False-positive study** — seeded random windows scanned by every
-   registered protocol's TCAM mask and full ``check_magic``.  Gates two
+   registered protocol's TCAM mask (``FrameSpec.matches``, derived from
+   the header description) and full ``check_magic``.  Gates two
    invariants of the plugin contract: the mask is a *necessary*
    condition of the full check (mask misses imply check misses), and
    the measured full-check rate stays within the declared
-   ``MagicSpec.confidence`` bound.  Hit counts are integers, so the
+   ``L5Protocol.confidence`` bound.  Hit counts are integers, so the
    baseline comparison is bit-identical.
 """
 
@@ -55,24 +56,16 @@ def sweep():
 
 def false_positive_study():
     """Slide seeded random windows past every registered protocol."""
-    plugin.ensure_builtins()
     protos = plugin.registered()
-    width = max(len(p.magic.pattern) for p in protos)
+    width = max(p.frame.magic_len for p in protos)
     rng = random.Random(FP_SEED)
     data = rng.randbytes(FP_WINDOWS + width)
 
-    scans = []
-    for proto in protos:
-        adapter = proto.factory()
-        size = len(proto.magic.pattern)
-        mask = int.from_bytes(proto.magic.mask, "big")
-        want = int.from_bytes(proto.magic.pattern, "big") & mask
-        scans.append((proto, adapter, size, mask, want, [0, 0]))
-
+    scans = [(proto, proto.factory(), [0, 0]) for proto in protos]
     for i in range(FP_WINDOWS):
-        for proto, adapter, size, mask, want, hits in scans:
-            window = data[i : i + size]
-            mask_hit = int.from_bytes(window, "big") & mask == want
+        for proto, adapter, hits in scans:
+            window = data[i : i + proto.frame.magic_len]
+            mask_hit = proto.frame.matches(window)
             magic_hit = adapter.check_magic(window, None)
             hits[0] += mask_hit
             hits[1] += magic_hit
@@ -81,7 +74,7 @@ def false_positive_study():
             assert not (magic_hit and not mask_hit), (
                 f"{proto.name}: check_magic accepted a window its mask rejects"
             )
-    return {proto.name: tuple(hits) for proto, _, _, _, _, hits in scans}
+    return {proto.name: tuple(hits) for proto, _, hits in scans}
 
 
 def test_fig_l5p_plugins(benchmark, emit):
@@ -123,7 +116,7 @@ def test_fig_l5p_plugins(benchmark, emit):
         title=f"Magic false positives over {FP_WINDOWS} random windows (seed {FP_SEED})",
     )
     for name, (mask_hits, magic_hits) in sorted(fp.items()):
-        bound = plugin.get(name).magic.confidence
+        bound = plugin.get(name).confidence
         rate = magic_hits / FP_WINDOWS
         fp_table.row(name, mask_hits, magic_hits, f"{rate:.2e}", f"{bound:.0e}")
         metrics[f"fp.{name}.mask_hits"] = mask_hits

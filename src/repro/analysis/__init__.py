@@ -4,14 +4,14 @@ Two halves keep the simulation honest while the codebase is refactored
 aggressively (see ROADMAP.md):
 
 - :mod:`repro.analysis.lint` + :mod:`repro.analysis.pipeline` — a
-  multi-pass static-analysis framework (``SIM001``-``SIM012``) run via
+  multi-pass static-analysis framework (``SIM*`` codes) run via
   ``python -m repro.analysis``.  Four pass families encode source-level
   invariants: *core* hygiene (wall clock/global randomness, centralized
-  32-bit sequence arithmetic, mutable defaults, adapter surface,
-  package docstrings), *determinism* dataflow (shared RNG streams,
-  unordered iteration feeding scheduling/metrics, missing
-  same-timestamp tiebreakers), the *contract* checker for the paper's
-  Table-3 offloadability preconditions over ``repro.l5p`` plugins, and
+  32-bit sequence arithmetic, mutable defaults, package docstrings),
+  *determinism* dataflow (shared RNG streams, unordered iteration
+  feeding scheduling/metrics, missing same-timestamp tiebreakers), the
+  *contract* checker for Table 3's incremental-transform precondition
+  over ``repro.l5p`` transforms, and
   *consistency* between emitted metric names and
   ``benchmarks/baseline.json``.  Output formats: text, JSON, SARIF
   (:mod:`repro.analysis.sarif`); an mtime+hash findings cache keeps the

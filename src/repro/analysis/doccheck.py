@@ -11,7 +11,8 @@ markdown links.  Both rot silently; this tool makes the rot loud:
   carries a ``:line`` suffix the file must be at least that long.
 
 Run with ``python -m repro.analysis.doccheck [files...]`` (default:
-``*.md`` at the repo root plus ``docs/``).  Exit status mirrors
+``*.md`` at the repo root — except ``CHANGES.md`` and ``ISSUE.md``,
+which name deleted and not-yet-written files by design — plus ``docs/``).  Exit status mirrors
 ``repro.analysis.lint``: 0 clean, 1 findings, 2 usage error.
 """
 
@@ -80,8 +81,13 @@ def _check_file(md: Path, root: Path) -> list[str]:
     return problems
 
 
+#: The change log and the per-PR task file record the past and the
+#: to-do: they rightly name files that are gone or not there yet.
+_HISTORY = ("CHANGES.md", "ISSUE.md")
+
+
 def default_targets(root: Path) -> list[Path]:
-    targets = sorted(root.glob("*.md"))
+    targets = sorted(p for p in root.glob("*.md") if p.name not in _HISTORY)
     docs = root / "docs"
     if docs.is_dir():
         targets.append(docs)

@@ -219,7 +219,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Project static analysis: determinism, offloadability-contract, "
-        "and cross-artifact consistency passes (SIM001-SIM012).",
+        "and cross-artifact consistency passes (--list-rules names them).",
     )
     parser.add_argument("paths", nargs="*", type=Path, help="files/directories to lint (default: the repro package)")
     parser.add_argument("--select", help="comma-separated rule codes to run (default: all)")

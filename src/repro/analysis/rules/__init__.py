@@ -11,14 +11,9 @@ mapped to paper sections.
 from __future__ import annotations
 
 from repro.analysis.lint import LintRule
-from repro.analysis.rules.adapter_protocol import AdapterProtocolRule
 from repro.analysis.rules.event_tiebreak import EventTiebreakRule
 from repro.analysis.rules.hotloop import HotLoopRule
-from repro.analysis.rules.l5p_contract import (
-    IncrementalTransformRule,
-    MagicFramingRule,
-    PluginDeclarationRule,
-)
+from repro.analysis.rules.l5p_contract import IncrementalTransformRule
 from repro.analysis.rules.metric_baseline import MetricBaselineRule
 from repro.analysis.rules.mutable_defaults import MutableDefaultsRule
 from repro.analysis.rules.pkg_docstrings import PackageDocstringRule
@@ -33,14 +28,11 @@ def all_rules() -> list[LintRule]:
         WallClockRule(),
         SeqArithmeticRule(),
         MutableDefaultsRule(),
-        AdapterProtocolRule(),
         PackageDocstringRule(),
         RngSharingRule(),
         UnorderedIterRule(),
         EventTiebreakRule(),
-        MagicFramingRule(),
         IncrementalTransformRule(),
-        PluginDeclarationRule(),
         MetricBaselineRule(),
         HotLoopRule(),
     ]

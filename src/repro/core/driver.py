@@ -131,7 +131,7 @@ class NicDriver:
         error surfaced loudly here rather than a silent misparse."""
         from repro.l5p import plugin
 
-        plugin.require(adapter.name)
+        plugin.get(adapter.name)
         if self.nic.obs is not None:
             self.nic.obs.cell(f"driver.l5p.{adapter.name}.contexts").value += 1
         ctx_id = next(self._ids)

@@ -167,19 +167,20 @@ class RxEngine:
 
     def _scan_from(self, ctx: HwContext, base: int, buffer: bytes, pkt_end: int, start_at: int) -> None:
         adapter = ctx.adapter
+        magic_len, header_len = adapter.magic_len, adapter.header_len
+        check_magic, static_state = adapter.check_magic, ctx.static_state
         i = start_at
         limit = len(buffer)
-        while i + adapter.magic_len <= limit:
-            window = buffer[i : i + adapter.magic_len]
-            if not adapter.check_magic(window, ctx.static_state):
+        while i + magic_len <= limit:
+            if not check_magic(buffer[i : i + magic_len], static_state):
                 i += 1
                 continue
-            if i + adapter.header_len > limit:
+            if i + header_len > limit:
                 # Candidate straddles the packet edge: carry the tail and
                 # resume if the next packet is contiguous.
                 ctx.save_scan_tail(pkt_end, buffer, keep=limit - i)
                 return
-            desc = adapter.parse_header(buffer[i : i + adapter.header_len], ctx.static_state)
+            desc = adapter.parse_header(buffer[i : i + header_len], static_state)
             if desc is None:
                 i += 1
                 continue
@@ -193,7 +194,7 @@ class RxEngine:
             # Keep tracking inside the same buffer.
             self._track_in_buffer(ctx, base, buffer, pkt_end)
             return
-        ctx.save_scan_tail(pkt_end, buffer, keep=adapter.magic_len - 1)
+        ctx.save_scan_tail(pkt_end, buffer, keep=magic_len - 1)
 
     # ------------------------------------------------------------------
     # Figure 7: tracking while waiting for software confirmation

@@ -9,10 +9,11 @@ preconditions; this interface is their executable form:
 - **incrementally computable with constant-size state** — transforms
   accept arbitrary byte ranges in order; all per-message state lives in
   the transform object, all per-flow state in the HW context.
-- **plaintext magic pattern + length field** — ``parse_header`` derives
-  the full message length from a fixed-size plaintext header, and
-  ``check_magic`` recognizes candidate headers on the wire for receive
-  resynchronization.
+- **plaintext magic pattern + length field** — the adapter's ``frame``
+  (a :class:`~repro.l5p.frame.FrameSpec`) states the fixed plaintext
+  header once; ``parse_header`` derives the full message length from it
+  and ``check_magic`` recognizes candidate headers on the wire for
+  receive resynchronization.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class MessageDesc:
     (§3.3 "length field").
     """
 
-    kind: str
     header_len: int
     body_len: int
     trailer_len: int
@@ -97,17 +97,36 @@ class L5pAdapter:
     """Everything the NIC knows about one L5P (cast into silicon)."""
 
     name: str = "abstract"
-    header_len: int = 0  # fixed wire-header size
-    magic_len: int = 0  # prefix of the header used for speculative search
+    #: The protocol's :class:`~repro.l5p.frame.FrameSpec`: header size,
+    #: scan window, header check and TCAM mask all come from it.
+    frame: Any = None
+
+    @property
+    def header_len(self) -> int:
+        """Fixed wire-header size."""
+        return self.frame.header_len
+
+    @property
+    def magic_len(self) -> int:
+        """Prefix of the header used for speculative search."""
+        return self.frame.magic_len
 
     def parse_header(self, header: bytes, static_state: Any) -> Optional[MessageDesc]:
-        """Parse a full header; None if it cannot be a valid message."""
-        raise NotImplementedError
+        """Parse a full header; None if it cannot be a valid message.
+        ``info`` carries the header's named fields."""
+        frame = self.frame
+        fields = frame.parse(header)
+        if fields is None:
+            return None
+        body_len, trailer_len = frame.spans(fields)
+        return MessageDesc(frame.header_len, body_len, trailer_len, header, fields._asdict())
 
     def check_magic(self, window: bytes, static_state: Any) -> bool:
-        """Fast plausibility test of ``magic_len`` bytes at a candidate
-        header position (the §3.3 "magic pattern")."""
-        raise NotImplementedError
+        """Plausibility test of ``magic_len`` bytes at a candidate header
+        position (the §3.3 "magic pattern"): the TCAM mask, then — when
+        the window holds the whole header — the full check."""
+        frame = self.frame
+        return frame.matches(window) and (len(window) < frame.header_len or frame.parse(window) is not None)
 
     def begin_message(
         self,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.core.types import Direction, TxMsgState
+from repro.l5p import plugin
 from repro.net.packet import Buffer, SkbMeta, Wire, gather
 from repro.tcp import seq as sq
 
@@ -204,8 +205,8 @@ class StreamEndpoint:
     first time and again after a NIC reset, from state the host still
     holds.  A protocol subclasses it and supplies:
 
-    - :attr:`protocol`, :attr:`header_len` and :meth:`_total_len` — its
-      framing;
+    - :attr:`protocol` — its registered name; the stream is cut with
+      that registration's :class:`~repro.l5p.frame.FrameSpec`;
     - :meth:`_offload` — which adapter and static state each direction's
       context gets, and calls :meth:`_install` when the stream is ready
       for one;
@@ -220,10 +221,8 @@ class StreamEndpoint:
     register request/response state on them.
     """
 
-    #: Names the protocol in error messages.
+    #: The protocol's name in the :mod:`repro.l5p.plugin` registry.
     protocol = "l5p"
-    #: Size of the fixed header handed to :meth:`_total_len`.
-    header_len = 0
     #: When set, detected failures (framing desync, failed integrity
     #: checks) are reported here instead of raising.
     on_error: Optional[Callable[[str], None]] = None
@@ -231,6 +230,7 @@ class StreamEndpoint:
     def __init__(self, host) -> None:
         self.host = host
         self.model = host.model
+        self.frame = plugin.get(self.protocol).frame
         self.conn: Any = None
         self.core: Any = None
         self.lower: Any = None
@@ -271,8 +271,9 @@ class StreamEndpoint:
     # ------------------------------------------------------------------
     def _total_len(self, header: bytes) -> int:
         """Full on-wire length of the message ``header`` starts;
-        :class:`ValueError` if it cannot be a header."""
-        raise NotImplementedError
+        :class:`ValueError` if it cannot be a header.  The frame's full
+        check, unless a protocol has a reason to cut more leniently."""
+        return self.frame.total_len(header)
 
     def _on_message(self, msg: AssembledMessage, idx: int) -> None:
         """Handle the stream's ``idx``-th message."""
@@ -305,7 +306,7 @@ class StreamEndpoint:
 
     def _ingest(self, data: Buffer, meta: SkbMeta, seq: int) -> None:
         if self._assembler is None:
-            self._assembler = StreamAssembler(self.header_len, self._total_len, start_seq=seq)
+            self._assembler = StreamAssembler(self.frame.header_len, self._total_len, start_seq=seq)
             self._rx_seq = seq
         try:
             messages = self._assembler.push(data, meta)

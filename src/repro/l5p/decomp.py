@@ -22,45 +22,43 @@ software later consumes (a request/response-style correlation id).
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from typing import Callable, Optional
 
 from repro.core.types import Direction, L5pAdapter, MessageDesc, MsgTransform, ProtocolError
 from repro.crypto.crc import get_digest
+from repro.l5p import plugin
 from repro.l5p.base import StreamEndpoint
+from repro.l5p.frame import FrameSpec
 from repro.tcp import seq as sq
 from repro.util.lzss import StreamingDecoder, compress, decompress
 
-MAGIC = b"\xc0\x17"
 _GREETING = b"CZRDY"
-HEADER_LEN = 15
 TRAILER_LEN = 4
 MAX_PLAIN = 1 << 20
 FLAG_COMPRESSED = 0x01
 
 
+def _max_compressed(plain_len: int) -> int:
+    """LZSS worst case: a flag bit per literal, plus slack."""
+    return plain_len + plain_len // 4 + 64
+
+
+FRAME = FrameSpec(
+    ">2sBIII",
+    "magic flags msg_id plain_len comp_len",
+    length="comp_len",
+    trailer=TRAILER_LEN,
+    const={"magic": b"\xc0\x17"},
+    check=lambda cz: cz.plain_len <= MAX_PLAIN and cz.comp_len <= _max_compressed(cz.plain_len),
+)
+HEADER_LEN = FRAME.header_len
+
+
 def make_message(plain: bytes, digest_cls, msg_id: int = 0) -> bytes:
     body = compress(plain)
-    header = MAGIC + struct.pack(">BIII", FLAG_COMPRESSED, msg_id, len(plain), len(body))
+    header = FRAME.build(flags=FLAG_COMPRESSED, msg_id=msg_id, plain_len=len(plain), comp_len=len(body))
     return header + body + digest_cls(body).digest()
-
-
-def parse_header(header: bytes) -> Optional[tuple[int, int, int, int]]:
-    if header[:2] != MAGIC:
-        return None
-    flags, msg_id, plain_len, comp_len = struct.unpack(">BIII", header[2:HEADER_LEN])
-    if plain_len > MAX_PLAIN or comp_len > plain_len + plain_len // 4 + 64:
-        return None
-    return flags, msg_id, plain_len, comp_len
-
-
-def total_len(header: bytes) -> int:
-    """Full on-wire message length; :class:`ValueError` for a bad header."""
-    parsed = parse_header(header)
-    if parsed is None:
-        raise ValueError("bad CZ header")
-    return HEADER_LEN + parsed[3] + TRAILER_LEN
 
 
 class _DecompTransform(MsgTransform):
@@ -124,8 +122,7 @@ class DecompAdapter(L5pAdapter):
     """One instance per flow direction (RX only)."""
 
     name = "decomp"
-    header_len = HEADER_LEN
-    magic_len = HEADER_LEN
+    frame = FRAME
 
     def __init__(self, digest_name: str = "crc32c"):
         self.digest_cls = get_digest(digest_name)
@@ -135,23 +132,6 @@ class DecompAdapter(L5pAdapter):
     def note_place_failure(self) -> None:
         self._pkt_place_ok = False
         self.place_failures += 1
-
-    def parse_header(self, header: bytes, static_state) -> Optional[MessageDesc]:
-        parsed = parse_header(header)
-        if parsed is None:
-            return None
-        flags, msg_id, plain_len, comp_len = parsed
-        return MessageDesc(
-            kind="cz",
-            header_len=HEADER_LEN,
-            body_len=comp_len,
-            trailer_len=TRAILER_LEN,
-            raw_header=header,
-            info={"plain_len": plain_len, "flags": flags, "msg_id": msg_id},
-        )
-
-    def check_magic(self, window: bytes, static_state) -> bool:
-        return len(window) >= HEADER_LEN and parse_header(window) is not None
 
     def begin_message(self, direction: Direction, static_state, desc, msg_index, rr_state=None):
         if direction == Direction.TX:
@@ -173,8 +153,6 @@ class CompressedStream(StreamEndpoint):
     """
 
     protocol = "decomp"
-    header_len = HEADER_LEN
-    _total_len = staticmethod(total_len)
 
     def __init__(self, host, conn, role: str, offload: bool = False, digest_name: str = "crc32c",
                  pool_buffers: int = 32, max_plain: int = 256 * 1024):
@@ -261,7 +239,7 @@ class CompressedStream(StreamEndpoint):
     def _on_message(self, msg, idx: int) -> None:
         self.stats["rx"] += 1
         wire = msg.wire
-        _flags, msg_id, plain_len, comp_len = parse_header(wire[:HEADER_LEN])
+        _magic, _flags, msg_id, plain_len, comp_len = FRAME.unpack(wire[:HEADER_LEN])
         placed = msg.fully(lambda m: m.placed) and self._rx_ctx is not None
         result = None
         if placed and self._rx_ctx is not None:
@@ -288,28 +266,19 @@ class CompressedStream(StreamEndpoint):
             self.on_message(plain)
 
 
-from repro.l5p import plugin as _plugin
-
-PLUGIN = _plugin.register(
-    _plugin.L5Protocol(
+PLUGIN = plugin.register(
+    plugin.L5Protocol(
         name="decomp",
-        header_len=HEADER_LEN,
-        magic=_plugin.MagicSpec(
-            pattern=MAGIC + b"\x00" * (HEADER_LEN - 2),
-            mask=b"\xff\xff" + b"\x00" * (HEADER_LEN - 2),
-            confidence=1e-4,
-        ),
-        preconditions=_plugin.Table3Preconditions(
+        frame=FRAME,
+        confidence=1e-4,
+        preconditions=plugin.Table3Preconditions(
             size_preserving=True,
             incremental_constant_state=True,
-            header_plaintext_length=True,
-            magic_identifiable=True,
             state_from_msg_index=True,
             notes="size-preserving on the wire; inflation happens into the "
             "pre-registered destination buffer, not the TCP stream (§7)",
         ),
         factory=DecompAdapter,
         description="Inline decompression into pre-posted buffers",
-        info={"trailer_len": TRAILER_LEN, "ops": ("inflate", "crc", "place")},
     )
 )

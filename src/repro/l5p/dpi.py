@@ -18,21 +18,27 @@ links), the textbook constant-state streaming multi-pattern scanner.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable
 
-from repro.core.types import Direction, L5pAdapter, MessageDesc, MsgTransform
+from repro.core.types import Direction, L5pAdapter, MsgTransform
+from repro.l5p import plugin
+from repro.l5p.frame import FrameSpec
 
-MAGIC = b"\xd1\xd9"
-HEADER_LEN = 7
 MAX_BODY = 1 << 24
+
+FRAME = FrameSpec(
+    ">2sBI",
+    "magic kind length",
+    length="length",
+    max_len=MAX_BODY,
+    const={"magic": b"\xd1\xd9"},
+)
+HEADER_LEN = FRAME.header_len
 
 
 def make_message(body: bytes, kind: int = 1) -> bytes:
-    if len(body) > MAX_BODY:
-        raise ValueError("DPI message too large")
-    return MAGIC + struct.pack(">BI", kind, len(body)) + body
+    return FRAME.build(kind=kind, length=len(body)) + body
 
 
 class PatternSet:
@@ -124,8 +130,7 @@ class DpiAdapter(L5pAdapter):
     """
 
     name = "dpi"
-    header_len = HEADER_LEN
-    magic_len = HEADER_LEN
+    frame = FRAME
 
     def __init__(self, patterns: PatternSet):
         self.patterns = patterns
@@ -135,19 +140,6 @@ class DpiAdapter(L5pAdapter):
     def note_matches(self, found: set[int]) -> None:
         self._pkt_matches |= found
         self.total_matches += len(found)
-
-    def parse_header(self, header: bytes, static_state) -> Optional[MessageDesc]:
-        if header[:2] != MAGIC:
-            return None
-        kind, length = struct.unpack(">BI", header[2:HEADER_LEN])
-        if length > MAX_BODY:
-            return None
-        return MessageDesc(
-            kind=str(kind), header_len=HEADER_LEN, body_len=length, trailer_len=0, raw_header=header
-        )
-
-    def check_magic(self, window: bytes, static_state) -> bool:
-        return len(window) >= HEADER_LEN and self.parse_header(window, static_state) is not None
 
     def begin_message(self, direction: Direction, static_state, desc, msg_index, rr_state=None):
         del direction, static_state, msg_index, rr_state
@@ -161,22 +153,14 @@ class DpiAdapter(L5pAdapter):
         self._pkt_matches = set()
 
 
-from repro.l5p import plugin as _plugin
-
-PLUGIN = _plugin.register(
-    _plugin.L5Protocol(
+PLUGIN = plugin.register(
+    plugin.L5Protocol(
         name="dpi",
-        header_len=HEADER_LEN,
-        magic=_plugin.MagicSpec(
-            pattern=MAGIC + b"\x00" * (HEADER_LEN - 2),
-            mask=b"\xff\xff" + b"\x00" * (HEADER_LEN - 2),
-            confidence=1e-4,
-        ),
-        preconditions=_plugin.Table3Preconditions(
+        frame=FRAME,
+        confidence=1e-4,
+        preconditions=plugin.Table3Preconditions(
             size_preserving=True,
             incremental_constant_state=True,
-            header_plaintext_length=True,
-            magic_identifiable=True,
             state_from_msg_index=True,
             notes="pure scan: bytes pass through unchanged, matches latch "
             "into packet metadata (§7)",
@@ -185,6 +169,5 @@ PLUGIN = _plugin.register(
             patterns if patterns is not None else PatternSet((b"\x00",)), **kw
         ),
         description="NIC-side deep packet inspection over framed streams",
-        info={"trailer_len": 0, "ops": ("scan",)},
     )
 )

@@ -48,8 +48,6 @@ class Http2Server:
 
 class _ServerConn(StreamEndpoint):
     protocol = "http2"
-    header_len = F.HEADER_LEN
-    _total_len = staticmethod(F.total_len)
 
     def __init__(self, server: Http2Server, conn):
         super().__init__(server.host)
@@ -64,7 +62,7 @@ class _ServerConn(StreamEndpoint):
 
     def _on_message(self, msg, idx: int) -> None:
         wire = msg.wire
-        _, ftype, flags, stream_id = F.parse_frame_header(wire[: F.HEADER_LEN])
+        _, ftype, flags, stream_id = F.FRAME.unpack(wire[: F.HEADER_LEN])
         if ftype == F.TYPE_SETTINGS and not flags & F.FLAG_ACK:
             self._queue(F.make_frame(F.TYPE_SETTINGS, F.FLAG_ACK, 0, b""))
             return
@@ -107,8 +105,6 @@ class Http2Client(StreamEndpoint):
     """Fetches streams; offloads DATA-frame FCS + placement when configured."""
 
     protocol = "http2"
-    header_len = F.HEADER_LEN
-    _total_len = staticmethod(F.total_len)
 
     def __init__(self, host, server: str, port: int = 8080,
                  config: Optional[F.Http2Config] = None):
@@ -127,7 +123,6 @@ class Http2Client(StreamEndpoint):
         }
         if self.config.rx_offload:
             self._driver()  # no OffloadNic: fail before the first packet
-            plugin.require("http2")
         self._attach(host.tcp.connect(server, port))
 
     def _offload(self, direction: Direction):
@@ -176,7 +171,7 @@ class Http2Client(StreamEndpoint):
 
     def _on_message(self, msg, idx: int) -> None:
         wire = msg.wire
-        length, ftype, flags, stream_id = F.parse_frame_header(wire[: F.HEADER_LEN])
+        length, ftype, flags, stream_id = F.FRAME.unpack(wire[: F.HEADER_LEN])
         if ftype != F.TYPE_DATA:
             return
         fetch = self._fetches.get(stream_id)

@@ -20,14 +20,14 @@ the resync-speculation stress profile this plugin exists to produce.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.types import Direction, L5pAdapter, MessageDesc, MsgTransform
 from repro.crypto.crc import get_digest
+from repro.l5p import plugin
+from repro.l5p.frame import FrameSpec
 
-HEADER_LEN = 9
 FCS_LEN = 4
 MAX_FRAME = 16384  # default SETTINGS_MAX_FRAME_SIZE
 
@@ -41,7 +41,6 @@ TYPE_PING = 0x6
 TYPE_GOAWAY = 0x7
 TYPE_WINDOW_UPDATE = 0x8
 TYPE_CONTINUATION = 0x9
-MAX_TYPE = TYPE_CONTINUATION
 
 FLAG_END_STREAM = 0x01
 FLAG_END_HEADERS = 0x04
@@ -81,46 +80,40 @@ class Http2Config:
         return self.rx_offload_crc or self.rx_offload_copy
 
 
+def _flags_and_stream_fit(frame) -> bool:
+    """Only flag bits the type defines; a stream id where the type needs
+    one and none where it must not have one."""
+    if frame.flags & ~_VALID_FLAGS.get(frame.type, 0):
+        return False
+    needs_stream = _NEEDS_STREAM.get(frame.type)
+    return needs_stream is None or needs_stream == (frame.stream_id != 0)
+
+
+#: The 9-byte header has no magic constant; what identifies it is
+#: structure: the 3-byte length's top bit is clear for any length up to
+#: MAX_FRAME, types are 0x0..0x9, and the stream word's top bit is
+#: reserved.  ``length`` counts the payload, FCS included.
+FRAME = FrameSpec(
+    ">3sBBI",
+    "length type flags stream_id",
+    length="length",
+    decode=lambda raw: int.from_bytes(raw, "big"),
+    encode=lambda length: length.to_bytes(3, "big"),
+    counts="body+trailer",
+    max_len=MAX_FRAME,
+    trailer=("flags", FLAG_FCS, FCS_LEN),
+    one_of={"type": tuple(range(TYPE_CONTINUATION + 1))},
+    zero_bits={"length": 0x800000, "stream_id": 0x80000000},
+    check=_flags_and_stream_fit,
+)
+HEADER_LEN = FRAME.header_len
+
+
 def make_frame(ftype: int, flags: int, stream_id: int, payload: bytes, digest_cls=None) -> bytes:
     """Serialize one frame; ``FLAG_FCS`` appends the CRC32C trailer."""
     if flags & FLAG_FCS:
-        if ftype != TYPE_DATA:
-            raise ValueError("FCS is a DATA-frame extension")
         payload = payload + (digest_cls or get_digest("crc32c"))(payload).digest()
-    if len(payload) > MAX_FRAME:
-        raise ValueError(f"frame payload {len(payload)} exceeds MAX_FRAME")
-    if stream_id >> 31:
-        raise ValueError("reserved bit set in stream id")
-    header = struct.pack(">I", len(payload))[1:] + struct.pack(">BBI", ftype, flags, stream_id)
-    return header + payload
-
-
-def parse_frame_header(header: bytes) -> Optional[tuple[int, int, int, int]]:
-    """``(length, type, flags, stream_id)`` or None if implausible."""
-    length = int.from_bytes(header[:3], "big")
-    ftype, flags, stream_word = struct.unpack(">BBI", header[3:HEADER_LEN])
-    if length > MAX_FRAME or ftype > MAX_TYPE:
-        return None
-    if stream_word >> 31:  # reserved bit must be zero
-        return None
-    if flags & ~_VALID_FLAGS.get(ftype, 0):
-        return None
-    needs_stream = _NEEDS_STREAM.get(ftype)
-    if needs_stream is True and stream_word == 0:
-        return None
-    if needs_stream is False and stream_word != 0:
-        return None
-    if flags & FLAG_FCS and length < FCS_LEN:
-        return None
-    return length, ftype, flags, stream_word
-
-
-def total_len(header: bytes) -> int:
-    """Full on-wire frame length; :class:`ValueError` for a bad header."""
-    parsed = parse_frame_header(header)
-    if parsed is None:
-        raise ValueError("bad HTTP/2 frame header")
-    return HEADER_LEN + parsed[0]
+    return FRAME.build(length=len(payload), type=ftype, flags=flags, stream_id=stream_id) + payload
 
 
 class _Http2Transform(MsgTransform):
@@ -174,8 +167,7 @@ class Http2Adapter(L5pAdapter):
     """One instance per flow direction (carries per-packet place bits)."""
 
     name = "http2"
-    header_len = HEADER_LEN
-    magic_len = HEADER_LEN
+    frame = FRAME
 
     def __init__(self, config: Optional[Http2Config] = None):
         self.config = config or Http2Config()
@@ -186,24 +178,6 @@ class Http2Adapter(L5pAdapter):
     def note_place_failure(self) -> None:
         self._pkt_place_ok = False
         self.place_failures += 1
-
-    def parse_header(self, header: bytes, static_state) -> Optional[MessageDesc]:
-        parsed = parse_frame_header(header)
-        if parsed is None:
-            return None
-        length, ftype, flags, stream_id = parsed
-        fcs = bool(flags & FLAG_FCS)
-        return MessageDesc(
-            kind=str(ftype),
-            header_len=HEADER_LEN,
-            body_len=length - FCS_LEN if fcs else length,
-            trailer_len=FCS_LEN if fcs else 0,
-            raw_header=header,
-            info={"type": ftype, "flags": flags, "stream_id": stream_id},
-        )
-
-    def check_magic(self, window: bytes, static_state) -> bool:
-        return len(window) >= HEADER_LEN and parse_frame_header(window) is not None
 
     def begin_message(self, direction: Direction, static_state, desc, msg_index, rr_state=None):
         del direction, static_state, msg_index
@@ -220,31 +194,19 @@ class Http2Adapter(L5pAdapter):
         return model.cpb_crc32c
 
 
-from repro.l5p import plugin as _plugin
-
-#: Necessary bits of the 9-byte header: length < 2^23 (top bit of the
-#: 3-byte length must be clear for any length <= MAX_FRAME), frame type
-#: high nibble zero (types are 0x0..0x9), reserved stream bit zero.
-PLUGIN = _plugin.register(
-    _plugin.L5Protocol(
+PLUGIN = plugin.register(
+    plugin.L5Protocol(
         name="http2",
-        header_len=HEADER_LEN,
-        magic=_plugin.MagicSpec(
-            pattern=b"\x00" * HEADER_LEN,
-            mask=b"\x80\x00\x00\xf0\x00\x80\x00\x00\x00",
-            confidence=1e-5,
-        ),
-        preconditions=_plugin.Table3Preconditions(
+        frame=FRAME,
+        confidence=1e-5,
+        preconditions=plugin.Table3Preconditions(
             size_preserving=True,
             incremental_constant_state=True,
-            header_plaintext_length=True,
-            magic_identifiable=True,
             state_from_msg_index=True,
             notes="RX-side FCS verify + stream-keyed DATA placement; control "
             "frames pass through untransformed",
         ),
         factory=Http2Adapter,
         description="HTTP/2 DATA-frame CRC (FCS extension) and per-stream placement",
-        info={"trailer_len": FCS_LEN, "ops": ("crc", "place")},
     )
 )

@@ -52,9 +52,7 @@ class NvmeHostStats:
 class NvmeTcpHost(StreamEndpoint):
     """One NVMe-TCP queue pair mapped to one TCP socket."""
 
-    protocol = "NVMe-TCP"
-    header_len = P.CH_LEN
-    _total_len = staticmethod(P.pdu_total_len)
+    protocol = "nvme-tcp"
 
     def __init__(self, host, config: Optional[NvmeConfig] = None, tls=None):
         super().__init__(host)

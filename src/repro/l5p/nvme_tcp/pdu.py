@@ -11,7 +11,7 @@ The offloaded operations are the paper's: data-digest computation and
 verification (TX and RX) and direct data placement of C2HData payloads
 into pre-registered block-layer buffers keyed by CID (RX zero-copy,
 Figure 9).  The magic pattern is the CH's constrained fields: a valid
-type, the type's fixed hlen, a sane pdo, and a bounded plen.
+type, the type's fixed hlen, and a bounded plen.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from typing import Optional
 
 from repro.core.types import Direction, L5pAdapter, MessageDesc, MsgTransform
 from repro.crypto.crc import get_digest
+from repro.l5p import plugin
+from repro.l5p.frame import FrameSpec
 from repro.net.packet import Buffer
 
-CH_LEN = 8
 DDGST_LEN = 4
 
 TYPE_CAPSULE_CMD = 0x04
@@ -44,6 +45,27 @@ PSH_LEN = {
 FLAG_DDGST = 0x01
 
 MAX_PLEN = 1 << 22  # 4 MiB bound used by the magic check
+
+
+def _psh_fits(ch) -> bool:
+    """``hlen`` is the type's fixed value and ``plen`` leaves room for
+    the PSH (and the DDGST the flags announce)."""
+    digest = DDGST_LEN if ch.flags & FLAG_DDGST else 0
+    return ch.hlen == CH_LEN + PSH_LEN[ch.type] and ch.plen >= ch.hlen + digest
+
+
+#: The common header; ``plen`` counts the whole PDU.
+CH = FrameSpec(
+    ">BBBBI",
+    "type flags hlen pdo plen",
+    length="plen",
+    counts="message",
+    max_len=MAX_PLEN,
+    trailer=("flags", FLAG_DDGST, DDGST_LEN),
+    one_of={"type": tuple(PSH_LEN)},
+    check=_psh_fits,
+)
+CH_LEN = CH.header_len
 
 OPC_READ = 0x02
 OPC_WRITE = 0x01
@@ -68,8 +90,7 @@ class NvmeConfig:
 
 def make_ch(pdu_type: int, plen: int, ddgst: bool) -> bytes:
     hlen = CH_LEN + PSH_LEN[pdu_type]
-    flags = FLAG_DDGST if ddgst else 0
-    return struct.pack(">BBBBI", pdu_type, flags, hlen, hlen, plen)
+    return CH.build(type=pdu_type, flags=FLAG_DDGST if ddgst else 0, hlen=hlen, pdo=hlen, plen=plen)
 
 
 def make_sqe(opcode: int, cid: int, slba: int, length: int) -> bytes:
@@ -128,19 +149,6 @@ def build_pdu(
     return (head, data, bytes(DDGST_LEN) if dummy_digest else digest_cls(data).digest())
 
 
-def pdu_total_len(ch: bytes) -> int:
-    """Total PDU length from a CH (for the stream assembler); raises
-    ValueError for junk."""
-    pdu_type, flags, hlen, pdo, plen = struct.unpack(">BBBBI", ch)
-    if pdu_type not in PSH_LEN:
-        raise ValueError(f"bad PDU type {pdu_type:#x}")
-    if hlen != CH_LEN + PSH_LEN[pdu_type]:
-        raise ValueError(f"bad hlen {hlen} for type {pdu_type:#x}")
-    if plen < hlen or plen > MAX_PLEN:
-        raise ValueError(f"bad plen {plen}")
-    return plen
-
-
 class _NvmeTransform(MsgTransform):
     """Per-PDU digest + placement engine."""
 
@@ -149,7 +157,7 @@ class _NvmeTransform(MsgTransform):
         self.desc = desc
         self.rr_state = rr_state if rr_state is not None else {}
         self.digest = adapter.digest_cls()
-        self._psh_need = desc.info["psh_len"]
+        self._psh_need = PSH_LEN[desc.info["type"]]
         self._psh = bytearray()
         self._data_pos = 0
         self._target = None  # (buffer, base_offset) once PSH parsed
@@ -194,8 +202,7 @@ class NvmeAdapter(L5pAdapter):
     direction (it carries per-flow placement status)."""
 
     name = "nvme-tcp"
-    header_len = CH_LEN
-    magic_len = CH_LEN
+    frame = CH
 
     def __init__(self, config: NvmeConfig, place: bool = False):
         self.config = config
@@ -213,35 +220,6 @@ class NvmeAdapter(L5pAdapter):
         # Degraded NVMe/TCP sends only recompute the CRC32C data digest.
         return model.cpb_crc32c
 
-    def parse_header(self, header: bytes, static_state) -> Optional[MessageDesc]:
-        try:
-            total = pdu_total_len(header)
-        except ValueError:
-            return None
-        pdu_type, flags, hlen, pdo, plen = struct.unpack(">BBBBI", header)
-        has_digest = bool(flags & FLAG_DDGST)
-        trailer = DDGST_LEN if has_digest else 0
-        body = total - CH_LEN - trailer
-        if body < PSH_LEN[pdu_type]:
-            return None
-        return MessageDesc(
-            kind=f"{pdu_type:#x}",
-            header_len=CH_LEN,
-            body_len=body,
-            trailer_len=trailer,
-            raw_header=header,
-            info={"type": pdu_type, "psh_len": PSH_LEN[pdu_type]},
-        )
-
-    def check_magic(self, window: bytes, static_state) -> bool:
-        if len(window) < CH_LEN:
-            return False
-        try:
-            pdu_total_len(window[:CH_LEN])
-            return True
-        except ValueError:
-            return False
-
     def begin_message(self, direction: Direction, static_state, desc, msg_index, rr_state=None):
         del direction, static_state, msg_index  # digests are stateless per PDU
         return _NvmeTransform(self, desc, rr_state)
@@ -254,30 +232,18 @@ class NvmeAdapter(L5pAdapter):
         self._place_ok = True
 
 
-from repro.l5p import plugin as _plugin
-
-#: NVMe/TCP common-header magic: PDU type in 0x04..0x09 (high nibble
-#: zero via the mask; exact membership and HLEN/PLEN checks live in
-#: check_magic).
-PLUGIN = _plugin.register(
-    _plugin.L5Protocol(
+PLUGIN = plugin.register(
+    plugin.L5Protocol(
         name="nvme-tcp",
-        header_len=CH_LEN,
-        magic=_plugin.MagicSpec(
-            pattern=b"\x00" * CH_LEN,
-            mask=b"\xf0" + b"\x00" * (CH_LEN - 1),
-            confidence=1e-4,
-        ),
-        preconditions=_plugin.Table3Preconditions(
+        frame=CH,
+        confidence=1e-4,
+        preconditions=plugin.Table3Preconditions(
             size_preserving=True,
             incremental_constant_state=True,
-            header_plaintext_length=True,
-            magic_identifiable=True,
             state_from_msg_index=True,
             notes="CRC32C digests + CID-keyed data placement (§5.1)",
         ),
         factory=lambda config=None, **kw: NvmeAdapter(config or NvmeConfig(), **kw),
         description="NVMe-TCP HDGST/DDGST CRC offload and direct data placement",
-        info={"ops": ("crc", "place")},
     )
 )

@@ -52,9 +52,7 @@ class NvmeTcpTarget:
 class _TargetConn(StreamEndpoint):
     """One initiator connection on the target."""
 
-    protocol = "NVMe-TCP"
-    header_len = P.CH_LEN
-    _total_len = staticmethod(P.pdu_total_len)
+    protocol = "nvme-tcp"
 
     def __init__(self, target: NvmeTcpTarget, conn):
         super().__init__(target.host)

@@ -27,7 +27,7 @@ from typing import Optional
 from repro.core.context import HwContext
 from repro.core.types import Direction, MsgTransform, TxMsgState
 from repro.core.walker import walk
-from repro.l5p import plugin as _plugin
+from repro.l5p import plugin
 from repro.l5p.base import TxLog
 from repro.l5p.nvme_tcp.pdu import NvmeAdapter, NvmeConfig
 from repro.l5p.tls.record import TlsAdapter
@@ -57,7 +57,7 @@ def over_tls(endpoint, conn, role: str, tls_config):
 
     adapter = None
     if tls_config.tx_offload or tls_config.rx_offload:
-        adapter = _plugin.make_adapter("nvme-tls", nvme_config=endpoint.config)
+        adapter = plugin.make_adapter("nvme-tls", nvme_config=endpoint.config)
         endpoint._tx = adapter.inner_tx_ops = PlainTxMap()
     ktls = KtlsSocket(endpoint.host, conn, role, tls_config, adapter=adapter)
     endpoint._attach(conn, lower=ktls)
@@ -193,23 +193,15 @@ class NvmeTlsAdapter(TlsAdapter):
         self._inner_enabled[Direction.TX] = True
 
 
-from repro.l5p.tls.record import HEADER_LEN as _TLS_HEADER_LEN, TAG_LEN as _TAG_LEN
-
-#: Outer framing is TLS, so the stacked protocol inherits the TLS magic.
-PLUGIN = _plugin.register(
-    _plugin.L5Protocol(
+#: Outer framing is TLS, so the stacked adapter inherits the TLS frame.
+PLUGIN = plugin.register(
+    plugin.L5Protocol(
         name="nvme-tls",
-        header_len=_TLS_HEADER_LEN,
-        magic=_plugin.MagicSpec(
-            pattern=b"\x14\x03\x03\x00\x00",
-            mask=b"\xfc\xff\xff\x00\x00",
-            confidence=1e-4,
-        ),
-        preconditions=_plugin.Table3Preconditions(
+        frame=NvmeTlsAdapter.frame,
+        confidence=1e-4,
+        preconditions=plugin.Table3Preconditions(
             size_preserving=True,
             incremental_constant_state=True,
-            header_plaintext_length=True,
-            magic_identifiable=True,
             state_from_msg_index=True,
             notes="TLS records outside, NVMe-TCP PDUs inside (§5.3); "
             "recovery is performed independently per layer",
@@ -218,6 +210,5 @@ PLUGIN = _plugin.register(
             nvme_config or NvmeConfig(), **kw
         ),
         description="Stacked NVMe-TCP-over-TLS offload (both layers autonomous)",
-        info={"trailer_len": _TAG_LEN, "ops": ("encrypt", "decrypt", "crc", "place")},
     )
 )

@@ -44,8 +44,6 @@ class RespServer:
         }
         # When set, connections report framing desyncs here, not by raising.
         self.on_error: Optional[Callable[[str], None]] = None
-        if self.config.rx_offload_steer:
-            plugin.require("resp")
         host.tcp.listen(port, self._accept)
 
     def _accept(self, conn) -> None:
@@ -54,8 +52,6 @@ class RespServer:
 
 class _ServerConn(StreamEndpoint):
     protocol = "resp"
-    header_len = F.HEADER_LEN
-    _total_len = staticmethod(F.total_len)
 
     def __init__(self, server: RespServer, conn):
         super().__init__(server.host)
@@ -122,8 +118,6 @@ class RespClient(StreamEndpoint):
     """Pipelines inline commands; replies return in order."""
 
     protocol = "resp"
-    header_len = F.HEADER_LEN
-    _total_len = staticmethod(F.total_len)
 
     def __init__(self, host, server: str, port: int = 6379,
                  config: Optional[F.RespConfig] = None):

@@ -28,9 +28,10 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.types import Direction, L5pAdapter, MessageDesc, MsgTransform
+from repro.core.types import Direction, L5pAdapter, MsgTransform
+from repro.l5p import plugin
+from repro.l5p.frame import FrameSpec
 
-HEADER_LEN = 11
 TRAILER_LEN = 2
 MAX_INLINE = 1 << 20
 #: Bytes of payload head the NIC parses for the steering key (§3.2's
@@ -47,31 +48,25 @@ class RespConfig:
     max_inline: int = MAX_INLINE
 
 
+def _hex_length(digits: bytes) -> Optional[int]:
+    return int(digits, 16) if _HEX.issuperset(digits) else None
+
+
+FRAME = FrameSpec(
+    ">1s8s2s",
+    "sigil length crlf",
+    length="length",
+    decode=_hex_length,
+    encode=lambda length: b"%08x" % length,
+    max_len=MAX_INLINE,
+    trailer=TRAILER_LEN,
+    const={"sigil": b"$", "crlf": b"\r\n"},
+)
+HEADER_LEN = FRAME.header_len
+
+
 def make_frame(payload: bytes) -> bytes:
-    if len(payload) > MAX_INLINE:
-        raise ValueError("RESP payload too large")
-    return b"$%08x\r\n" % len(payload) + payload + b"\r\n"
-
-
-def parse_header(header: bytes) -> Optional[int]:
-    """Payload length, or None if the envelope is implausible."""
-    if header[0:1] != b"$" or header[9:11] != b"\r\n":
-        return None
-    digits = header[1:9]
-    if any(d not in _HEX for d in digits):
-        return None
-    length = int(bytes(digits), 16)
-    if length > MAX_INLINE:
-        return None
-    return length
-
-
-def total_len(header: bytes) -> int:
-    """Full on-wire envelope length; :class:`ValueError` for a bad header."""
-    length = parse_header(header)
-    if length is None:
-        raise ValueError("bad RESP envelope")
-    return HEADER_LEN + length + TRAILER_LEN
+    return FRAME.build(length=len(payload)) + payload + b"\r\n"
 
 
 def steer_key(payload_head: bytes) -> bytes:
@@ -126,8 +121,7 @@ class RespAdapter(L5pAdapter):
     """One instance per flow direction (latches the per-packet steer)."""
 
     name = "resp"
-    header_len = HEADER_LEN
-    magic_len = HEADER_LEN
+    frame = FRAME
 
     def __init__(self, config: Optional[RespConfig] = None):
         self.config = config or RespConfig()
@@ -140,21 +134,6 @@ class RespAdapter(L5pAdapter):
         self.steered_messages += 1
         if self._pkt_steer is None:
             self._pkt_steer = queue
-
-    def parse_header(self, header: bytes, static_state) -> Optional[MessageDesc]:
-        length = parse_header(header)
-        if length is None:
-            return None
-        return MessageDesc(
-            kind="bulk",
-            header_len=HEADER_LEN,
-            body_len=length,
-            trailer_len=TRAILER_LEN,
-            raw_header=header,
-        )
-
-    def check_magic(self, window: bytes, static_state) -> bool:
-        return len(window) >= HEADER_LEN and parse_header(window) is not None
 
     def begin_message(self, direction: Direction, static_state, desc, msg_index, rr_state=None):
         del direction, static_state, msg_index, rr_state
@@ -170,28 +149,19 @@ class RespAdapter(L5pAdapter):
         return model.cpb_deserialize
 
 
-from repro.l5p import plugin as _plugin
-
-PLUGIN = _plugin.register(
-    _plugin.L5Protocol(
+PLUGIN = plugin.register(
+    plugin.L5Protocol(
         name="resp",
-        header_len=HEADER_LEN,
-        magic=_plugin.MagicSpec(
-            pattern=b"$" + b"\x00" * 8 + b"\r\n",
-            mask=b"\xff" + b"\x00" * 8 + b"\xff\xff",
-            confidence=1e-6,
-        ),
-        preconditions=_plugin.Table3Preconditions(
+        frame=FRAME,
+        confidence=1e-6,
+        preconditions=plugin.Table3Preconditions(
             size_preserving=True,
             incremental_constant_state=True,
-            header_plaintext_length=True,
-            magic_identifiable=True,
             state_from_msg_index=True,
             notes="steering, not transformation: bytes pass through; the "
             "key parse uses a bounded head window",
         ),
         factory=RespAdapter,
         description="RESP inline-command steering to key-sharded receive queues",
-        info={"trailer_len": TRAILER_LEN, "ops": ("steer",)},
     )
 )

@@ -47,8 +47,6 @@ class RpcServer:
 
 class _ServerConn(StreamEndpoint):
     protocol = "rpc"
-    header_len = F.HEADER_LEN
-    _total_len = staticmethod(F.total_len)
 
     def __init__(self, server: RpcServer, conn):
         super().__init__(server.host)
@@ -62,7 +60,7 @@ class _ServerConn(StreamEndpoint):
 
     def _on_message(self, msg, idx: int) -> None:
         wire = msg.wire
-        ftype, rpc_id, method_id, payload_len = F.parse_header(wire[:F.HEADER_LEN])
+        _magic, ftype, rpc_id, method_id, payload_len = F.FRAME.unpack(wire[: F.HEADER_LEN])
         if ftype != F.TYPE_REQUEST:
             return
         payload = wire[F.HEADER_LEN : F.HEADER_LEN + payload_len]
@@ -88,8 +86,6 @@ class RpcClient(StreamEndpoint):
     """Issues calls; offloads response CRC + placement when configured."""
 
     protocol = "rpc"
-    header_len = F.HEADER_LEN
-    _total_len = staticmethod(F.total_len)
 
     def __init__(self, host, server: str, port: int = 7000, config: Optional[RpcConfig] = None):
         super().__init__(host)
@@ -142,7 +138,7 @@ class RpcClient(StreamEndpoint):
 
     def _on_message(self, msg, idx: int) -> None:
         wire = msg.wire
-        ftype, rpc_id, method_id, payload_len = F.parse_header(wire[:F.HEADER_LEN])
+        _magic, ftype, rpc_id, method_id, payload_len = F.FRAME.unpack(wire[: F.HEADER_LEN])
         if ftype != F.TYPE_RESPONSE:
             return
         pending = self._pending.pop(rpc_id, None)

@@ -16,20 +16,29 @@ request/response pattern as NVMe-TCP's CID map (§4.1's
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.types import Direction, L5pAdapter, MessageDesc, MsgTransform
 from repro.crypto.crc import get_digest
+from repro.l5p import plugin
+from repro.l5p.frame import FrameSpec
 
-MAGIC = b"RC"
-HEADER_LEN = 13
 TRAILER_LEN = 4
 MAX_PAYLOAD = 1 << 22
 
 TYPE_REQUEST = 1
 TYPE_RESPONSE = 2
+
+FRAME = FrameSpec(
+    ">2sBIHI",
+    "magic type rpc_id method_id payload_len",
+    length="payload_len",
+    max_len=MAX_PAYLOAD,
+    trailer=TRAILER_LEN,
+    const={"magic": b"RC"},
+    one_of={"type": (TYPE_REQUEST, TYPE_RESPONSE)},
+)
+HEADER_LEN = FRAME.header_len
 
 
 @dataclass
@@ -45,27 +54,8 @@ class RpcConfig:
 
 
 def make_frame(ftype: int, rpc_id: int, method_id: int, payload: bytes, digest_cls) -> bytes:
-    if len(payload) > MAX_PAYLOAD:
-        raise ValueError("RPC payload too large")
-    header = MAGIC + struct.pack(">BIHI", ftype, rpc_id, method_id, len(payload))
+    header = FRAME.build(type=ftype, rpc_id=rpc_id, method_id=method_id, payload_len=len(payload))
     return header + payload + digest_cls(payload).digest()
-
-
-def parse_header(header: bytes) -> Optional[tuple[int, int, int, int]]:
-    if header[:2] != MAGIC:
-        return None
-    ftype, rpc_id, method_id, payload_len = struct.unpack(">BIHI", header[2:HEADER_LEN])
-    if ftype not in (TYPE_REQUEST, TYPE_RESPONSE) or payload_len > MAX_PAYLOAD:
-        return None
-    return ftype, rpc_id, method_id, payload_len
-
-
-def total_len(header: bytes) -> int:
-    """Full on-wire frame length; :class:`ValueError` for a bad header."""
-    parsed = parse_header(header)
-    if parsed is None:
-        raise ValueError("bad RPC frame header")
-    return HEADER_LEN + parsed[3] + TRAILER_LEN
 
 
 class _RpcTransform(MsgTransform):
@@ -103,8 +93,7 @@ class RpcAdapter(L5pAdapter):
     """One instance per flow direction."""
 
     name = "rpc"
-    header_len = HEADER_LEN
-    magic_len = HEADER_LEN
+    frame = FRAME
 
     def __init__(self, config: RpcConfig):
         self.config = config
@@ -115,23 +104,6 @@ class RpcAdapter(L5pAdapter):
     def note_place_failure(self) -> None:
         self._pkt_place_ok = False
         self.place_failures += 1
-
-    def parse_header(self, header: bytes, static_state) -> Optional[MessageDesc]:
-        parsed = parse_header(header)
-        if parsed is None:
-            return None
-        ftype, rpc_id, method_id, payload_len = parsed
-        return MessageDesc(
-            kind=str(ftype),
-            header_len=HEADER_LEN,
-            body_len=payload_len,
-            trailer_len=TRAILER_LEN,
-            raw_header=header,
-            info={"type": ftype, "rpc_id": rpc_id, "method_id": method_id},
-        )
-
-    def check_magic(self, window: bytes, static_state) -> bool:
-        return len(window) >= HEADER_LEN and parse_header(window) is not None
 
     def begin_message(self, direction: Direction, static_state, desc, msg_index, rr_state=None):
         del static_state, msg_index
@@ -145,27 +117,18 @@ class RpcAdapter(L5pAdapter):
         self._pkt_place_ok = True
 
 
-from repro.l5p import plugin as _plugin
-
-PLUGIN = _plugin.register(
-    _plugin.L5Protocol(
+PLUGIN = plugin.register(
+    plugin.L5Protocol(
         name="rpc",
-        header_len=HEADER_LEN,
-        magic=_plugin.MagicSpec(
-            pattern=MAGIC + b"\x00" * (HEADER_LEN - 2),
-            mask=b"\xff\xff\xfc" + b"\x00" * (HEADER_LEN - 3),
-            confidence=1e-6,
-        ),
-        preconditions=_plugin.Table3Preconditions(
+        frame=FRAME,
+        confidence=1e-6,
+        preconditions=plugin.Table3Preconditions(
             size_preserving=True,
             incremental_constant_state=True,
-            header_plaintext_length=True,
-            magic_identifiable=True,
             state_from_msg_index=True,
             notes="RX-side CRC verify + rpc_id-keyed response placement (§7)",
         ),
         factory=lambda config=None, **kw: RpcAdapter(config or RpcConfig(), **kw),
         description="SRPC response CRC + copy offload keyed by rpc_id",
-        info={"trailer_len": TRAILER_LEN, "ops": ("crc", "place")},
     )
 )

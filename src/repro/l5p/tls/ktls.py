@@ -18,7 +18,6 @@ userspace OpenSSL and offloads only the record path.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -79,8 +78,7 @@ class TlsStats:
 class KtlsSocket(StreamEndpoint):
     """A TLS-protected byte stream over one TcpConnection."""
 
-    protocol = "kTLS"
-    header_len = HEADER_LEN
+    protocol = "tls"
 
     def __init__(self, host, conn, role: str, config: Optional[TlsConfig] = None, adapter=None):
         if role not in ("client", "server"):
@@ -269,12 +267,15 @@ class KtlsSocket(StreamEndpoint):
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    @staticmethod
-    def _total_len(header: bytes) -> int:
-        ctype, version, length = struct.unpack(">BHH", header)
-        if length > MAX_PLAINTEXT + TAG_LEN or length < TAG_LEN:
-            raise ValueError(f"record length {length} invalid")
-        return HEADER_LEN + length
+    def _total_len(self, header: bytes) -> int:
+        # Only the length range: a corrupted type or version byte is an
+        # authentication failure that costs one record, not a framing
+        # error that kills the stream.
+        fields = self.frame.unpack(header)
+        spans = self.frame.spans(fields)
+        if spans is None:
+            raise ValueError(f"record length {fields.length} invalid")
+        return HEADER_LEN + sum(spans)
 
     def _on_message(self, msg, idx: int) -> None:
         header = msg.cut(0, HEADER_LEN)

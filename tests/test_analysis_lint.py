@@ -10,14 +10,9 @@ from pathlib import Path
 from repro.analysis.lint import default_target, load_module, main, run_rules
 from repro.analysis.pipeline import run_analysis
 from repro.analysis.rules import all_rules
-from repro.analysis.rules.adapter_protocol import AdapterProtocolRule
 from repro.analysis.rules.event_tiebreak import EventTiebreakRule
 from repro.analysis.rules.hotloop import HotLoopRule
-from repro.analysis.rules.l5p_contract import (
-    IncrementalTransformRule,
-    MagicFramingRule,
-    PluginDeclarationRule,
-)
+from repro.analysis.rules.l5p_contract import IncrementalTransformRule
 from repro.analysis.rules.metric_baseline import MetricBaselineRule
 from repro.analysis.rules.mutable_defaults import MutableDefaultsRule
 from repro.analysis.rules.pkg_docstrings import PackageDocstringRule
@@ -158,61 +153,6 @@ class TestMutableDefaults:
                 return items, count, name
             """)
         assert rule_findings(MutableDefaultsRule(), path) == []
-
-
-# ----------------------------------------------------------------------
-# SIM004: adapter protocol surface
-# ----------------------------------------------------------------------
-class TestAdapterProtocol:
-    def test_incomplete_adapter_fires(self, tmp_path):
-        path = write(tmp_path, "bad.py", """\
-            from repro.core.types import L5pAdapter
-
-            class HalfAdapter(L5pAdapter):
-                name = "half"
-                header_len = 5
-
-                def parse_header(self, header, static_state):
-                    return None
-            """)
-        findings = rule_findings(AdapterProtocolRule(), path)
-        assert len(findings) == 1
-        assert findings[0].code == "SIM004"
-        for member in ("magic_len", "check_magic", "begin_message", "apply_packet_meta"):
-            assert member in findings[0].message
-
-    def test_complete_adapter_is_fine(self, tmp_path):
-        path = write(tmp_path, "good.py", """\
-            from repro.core.types import L5pAdapter
-
-            class FullAdapter(L5pAdapter):
-                name = "full"
-                header_len = 5
-                magic_len = 2
-
-                def parse_header(self, header, static_state):
-                    return None
-
-                def check_magic(self, window, static_state):
-                    return False
-
-                def begin_message(self, direction, static_state, desc, msg_index, rr_state=None):
-                    raise NotImplementedError
-
-                def apply_packet_meta(self, meta, processed, ok, desc_kinds):
-                    pass
-            """)
-        assert rule_findings(AdapterProtocolRule(), path) == []
-
-    def test_indirect_subclass_not_rechecked(self, tmp_path):
-        path = write(tmp_path, "good.py", """\
-            from repro.l5p.tls.record import TlsAdapter
-
-            class StackedAdapter(TlsAdapter):
-                def begin_message(self, direction, static_state, desc, msg_index, rr_state=None):
-                    raise NotImplementedError
-            """)
-        assert rule_findings(AdapterProtocolRule(), path) == []
 
 
 # ----------------------------------------------------------------------
@@ -413,55 +353,8 @@ class TestEventTiebreak:
 
 
 # ----------------------------------------------------------------------
-# SIM009-SIM010: the Table-3 offloadability contract
+# SIM010: Table 3's incremental-transform precondition
 # ----------------------------------------------------------------------
-class TestMagicFraming:
-    def test_trivial_adapter_fires_on_all_three_axes(self, tmp_path):
-        path = write(tmp_path, "bad.py", """\
-            from repro.core.types import L5pAdapter, MessageDesc
-
-            class TrustingAdapter(L5pAdapter):
-                name = "trusting"
-                magic_len = 0
-                header_len = 8
-
-                def check_magic(self, window, static_state):
-                    return True
-
-                def parse_header(self, header, static_state):
-                    return MessageDesc(kind="x", header_len=8, body_len=0,
-                                       trailer_len=0, raw_header=header, info={})
-            """)
-        findings = rule_findings(MagicFramingRule(), path)
-        assert [f.code for f in findings] == ["SIM009"] * 3
-        messages = "\n".join(f.message for f in findings)
-        assert "magic_len = 0" in messages
-        assert "check_magic" in messages
-        assert "rejection path" in messages
-
-    def test_discriminating_adapter_is_fine(self, tmp_path):
-        path = write(tmp_path, "good.py", """\
-            from repro.core.types import L5pAdapter, MessageDesc
-
-            MAGIC = b"\\xc0\\x17"
-
-            class FramedAdapter(L5pAdapter):
-                name = "framed"
-                magic_len = 2
-                header_len = 8
-
-                def check_magic(self, window, static_state):
-                    return window[:2] == MAGIC
-
-                def parse_header(self, header, static_state):
-                    if header[:2] != MAGIC:
-                        return None
-                    return MessageDesc(kind="x", header_len=8, body_len=0,
-                                       trailer_len=0, raw_header=header, info={})
-            """)
-        assert rule_findings(MagicFramingRule(), path) == []
-
-
 class TestIncrementalTransform:
     def test_whole_message_buffering_fires(self, tmp_path):
         path = write(tmp_path, "bad.py", """\
@@ -488,138 +381,6 @@ class TestIncrementalTransform:
                     return data
             """)
         assert rule_findings(IncrementalTransformRule(), path) == []
-
-
-# ----------------------------------------------------------------------
-# SIM014: literal plugin declarations stay coherent
-# ----------------------------------------------------------------------
-class TestPluginDeclaration:
-    def test_pattern_mask_length_mismatch_fires(self, tmp_path):
-        path = write(tmp_path, "bad.py", """\
-            from repro.l5p import plugin
-
-            SPEC = plugin.MagicSpec(pattern=b"\\x14\\x03", mask=b"\\xff", confidence=1e-4)
-            """)
-        findings = rule_findings(PluginDeclarationRule(), path)
-        assert [f.code for f in findings] == ["SIM014"]
-        assert "lengths" in findings[0].message
-
-    def test_all_zero_mask_fires(self, tmp_path):
-        path = write(tmp_path, "bad.py", """\
-            from repro.l5p.plugin import MagicSpec
-
-            SPEC = MagicSpec(pattern=b"\\x00\\x00", mask=b"\\x00\\x00", confidence=0.5)
-            """)
-        findings = rule_findings(PluginDeclarationRule(), path)
-        assert [f.code for f in findings] == ["SIM014"]
-        assert "all zeroes" in findings[0].message
-
-    def test_bad_confidence_fires(self, tmp_path):
-        path = write(tmp_path, "bad.py", """\
-            from repro.l5p.plugin import MagicSpec
-
-            SPEC = MagicSpec(pattern=b"\\x01", mask=b"\\xff", confidence=0.0)
-            """)
-        findings = rule_findings(PluginDeclarationRule(), path)
-        assert [f.code for f in findings] == ["SIM014"]
-        assert "confidence" in findings[0].message
-
-    def test_literal_false_precondition_fires(self, tmp_path):
-        path = write(tmp_path, "bad.py", """\
-            from repro.l5p import plugin
-
-            PROTO = plugin.L5Protocol(
-                name="weird",
-                header_len=8,
-                magic=plugin.MagicSpec(pattern=b"\\x01", mask=b"\\xff", confidence=1e-4),
-                preconditions=plugin.Table3Preconditions(
-                    size_preserving=False,
-                    incremental_constant_state=True,
-                    header_plaintext_length=True,
-                    magic_identifiable=True,
-                    state_from_msg_index=True,
-                ),
-                factory=None,
-            )
-            """)
-        findings = rule_findings(PluginDeclarationRule(), path)
-        assert [f.code for f in findings] == ["SIM014"]
-        assert "size_preserving=False" in findings[0].message
-
-    def test_omitted_precondition_row_fires(self, tmp_path):
-        path = write(tmp_path, "bad.py", """\
-            from repro.l5p import plugin
-
-            PROTO = plugin.L5Protocol(
-                name="forgetful",
-                header_len=8,
-                magic=plugin.MagicSpec(pattern=b"\\x01", mask=b"\\xff", confidence=1e-4),
-                preconditions=plugin.Table3Preconditions(
-                    size_preserving=True,
-                    incremental_constant_state=True,
-                    header_plaintext_length=True,
-                    magic_identifiable=True,
-                ),
-                factory=None,
-            )
-            """)
-        findings = rule_findings(PluginDeclarationRule(), path)
-        assert [f.code for f in findings] == ["SIM014"]
-        assert "state_from_msg_index" in findings[0].message
-
-    def test_uppercase_name_and_wide_magic_fire(self, tmp_path):
-        path = write(tmp_path, "bad.py", """\
-            from repro.l5p import plugin
-
-            PROTO = plugin.L5Protocol(
-                name="LOUD",
-                header_len=2,
-                magic=plugin.MagicSpec(pattern=b"\\x01\\x02\\x03", mask=b"\\xff\\xff\\xff",
-                                       confidence=1e-4),
-                preconditions=plugin.Table3Preconditions(
-                    size_preserving=True,
-                    incremental_constant_state=True,
-                    header_plaintext_length=True,
-                    magic_identifiable=True,
-                    state_from_msg_index=True,
-                ),
-                factory=None,
-            )
-            """)
-        codes = sorted(f.code for f in rule_findings(PluginDeclarationRule(), path))
-        assert codes == ["SIM014", "SIM014"]
-
-    def test_coherent_declaration_is_fine(self, tmp_path):
-        path = write(tmp_path, "good.py", """\
-            from repro.l5p import plugin
-
-            PROTO = plugin.L5Protocol(
-                name="tidy",
-                header_len=8,
-                magic=plugin.MagicSpec(pattern=b"\\x01\\x02", mask=b"\\xff\\xf0",
-                                       confidence=1e-4),
-                preconditions=plugin.Table3Preconditions(
-                    size_preserving=True,
-                    incremental_constant_state=True,
-                    header_plaintext_length=True,
-                    magic_identifiable=True,
-                    state_from_msg_index=True,
-                    notes="unit test",
-                ),
-                factory=None,
-            )
-            """)
-        assert rule_findings(PluginDeclarationRule(), path) == []
-
-    def test_dynamic_declarations_are_skipped(self, tmp_path):
-        path = write(tmp_path, "good.py", """\
-            from repro.l5p import plugin
-
-            WIDTH = 4
-            SPEC = plugin.MagicSpec(pattern=b"\\x00" * WIDTH, mask=make_mask(WIDTH),
-                                    confidence=rate())
-            """)
-        assert rule_findings(PluginDeclarationRule(), path) == []
 
 
 # ----------------------------------------------------------------------
@@ -804,10 +565,12 @@ class TestRunner:
         assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_all_rules_registered(self):
-        # SIM011 (upcall wiring) is retired: the endpoint core makes a
-        # partial Listing-2 surface unrepresentable.
+        # Retired: SIM011 (upcall wiring; the endpoint core makes a partial
+        # Listing-2 surface unrepresentable) and SIM004 / SIM009 / SIM014
+        # (adapter surface, magic framing, literal plugin declarations;
+        # all computed from the protocol's one FrameSpec).
         assert sorted(rule.code for rule in all_rules()) == [
-            f"SIM{n:03d}" for n in range(1, 15) if n != 11
+            f"SIM{n:03d}" for n in range(1, 14) if n not in (4, 9, 11)
         ]
 
     def test_sim_noqa_suppresses_specific_code(self, tmp_path):
@@ -889,7 +652,7 @@ class TestRunner:
     def test_cli_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SIM001", "SIM002", "SIM003", "SIM004"):
+        for code in ("SIM001", "SIM002", "SIM003", "SIM010"):
             assert code in out
 
     def test_syntax_error_reported_not_crash(self, tmp_path):

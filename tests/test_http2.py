@@ -13,35 +13,35 @@ OFFLOAD = Http2Config(rx_offload_crc=True, rx_offload_copy=True)
 class TestFraming:
     def test_frame_round_trip(self):
         wire = F.make_frame(F.TYPE_HEADERS, F.FLAG_END_HEADERS, 5, b"hello")
-        length, ftype, flags, stream_id = F.parse_frame_header(wire[: F.HEADER_LEN])
+        length, ftype, flags, stream_id = F.FRAME.parse(wire[: F.HEADER_LEN])
         assert (length, ftype, flags, stream_id) == (5, F.TYPE_HEADERS, F.FLAG_END_HEADERS, 5)
         assert wire[F.HEADER_LEN :] == b"hello"
 
     def test_fcs_frame_carries_crc(self):
         body = b"payload bytes"
         wire = F.make_frame(F.TYPE_DATA, F.FLAG_FCS, 3, body, Crc32c)
-        length, ftype, flags, _ = F.parse_frame_header(wire[: F.HEADER_LEN])
+        length, ftype, flags, _ = F.FRAME.parse(wire[: F.HEADER_LEN])
         assert length == len(body) + F.FCS_LEN
         assert wire[F.HEADER_LEN + len(body) :] == Crc32c(body).digest()
 
     def test_bad_headers_rejected(self):
         good = F.make_frame(F.TYPE_DATA, F.FLAG_FCS, 3, b"xxxx", Crc32c)[: F.HEADER_LEN]
-        assert F.parse_frame_header(good) is not None
+        assert F.FRAME.parse(good) is not None
         # frame type out of range
-        assert F.parse_frame_header(good[:3] + b"\x0a" + good[4:]) is None
+        assert F.FRAME.parse(good[:3] + b"\x0a" + good[4:]) is None
         # reserved stream bit set
-        assert F.parse_frame_header(good[:5] + b"\x80\x00\x00\x03") is None
+        assert F.FRAME.parse(good[:5] + b"\x80\x00\x00\x03") is None
         # undefined flag for the type
-        assert F.parse_frame_header(good[:4] + b"\x40" + good[5:]) is None
+        assert F.FRAME.parse(good[:4] + b"\x40" + good[5:]) is None
         # DATA on stream 0
-        assert F.parse_frame_header(good[:5] + b"\x00\x00\x00\x00") is None
+        assert F.FRAME.parse(good[:5] + b"\x00\x00\x00\x00") is None
         # SETTINGS with a stream id
         settings = F.make_frame(F.TYPE_SETTINGS, 0, 0, b"")[: F.HEADER_LEN]
-        assert F.parse_frame_header(settings[:5] + b"\x00\x00\x00\x01") is None
+        assert F.FRAME.parse(settings[:5] + b"\x00\x00\x00\x01") is None
         # length above MAX_FRAME
-        assert F.parse_frame_header(b"\xff\xff\xff" + good[3:]) is None
+        assert F.FRAME.parse(b"\xff\xff\xff" + good[3:]) is None
         # FCS flag with a payload shorter than the CRC
-        assert F.parse_frame_header(b"\x00\x00\x02" + good[3:]) is None
+        assert F.FRAME.parse(b"\x00\x00\x02" + good[3:]) is None
 
 
 class TestHttp2EndToEnd:

@@ -1,48 +1,57 @@
 """L5Protocol registry tests: loud failures, declaration validation,
-the driver-level gate, testbed resolution, and the hypothesis property
-that a protocol's magic spec never misses its own valid frames."""
+the driver-level gate, testbed resolution, and the properties every
+registered FrameSpec owes: build and parse are inverses, the derived
+TCAM mask never misses a header the spec can build, ``check_magic``
+and ``parse_header`` agree, and the software stream cut agrees with the
+NIC's parse."""
+
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import toy_l5p  # registers "toy", the one frame with a narrow scan window
 from helpers import make_pair
 from repro.core.types import Direction, L5pAdapter
 from repro.crypto.crc import Crc32c
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.l5p import plugin
+from repro.l5p.base import StreamEndpoint
+from repro.l5p.frame import FrameSpec
 from repro.l5p.http2 import frame as H2
 from repro.l5p.nvme_tcp import pdu as P
 from repro.l5p.resp import frame as RESP
 from repro.l5p.rpc import frame as RPC
 from repro.l5p.tls import record as TLS
+from repro.l5p.tls.ktls import KtlsSocket
 from repro.l5p import decomp as DC
 from repro.l5p import dpi as DPI
 from repro.nic import OffloadNic
 
 BUILTINS = {"decomp", "dpi", "http2", "nvme-tcp", "nvme-tls", "resp", "rpc", "tls"}
 
-GOOD_MAGIC = plugin.MagicSpec(pattern=b"\xd1\xd9", mask=b"\xff\xff", confidence=1e-4)
 ALL_TRUE = plugin.Table3Preconditions(
     size_preserving=True,
     incremental_constant_state=True,
-    header_plaintext_length=True,
-    magic_identifiable=True,
     state_from_msg_index=True,
 )
+FAKE_FRAME = FrameSpec(">2sBI", "magic kind length", length="length", const={"magic": b"\xd1\xd9"}, magic_len=2)
+#: A header with a length field but nothing constant, enumerated or
+#: reserved: its derived mask is all zeroes.
+FEATURELESS = FrameSpec(">HH", "tag length", length="length")
 
 
 class _FakeAdapter(L5pAdapter):
     name = "fake"
-    header_len = 7
-    magic_len = 2
+    frame = FAKE_FRAME
 
 
 def fake_proto(**overrides):
     fields = dict(
         name="fake",
-        header_len=7,
-        magic=GOOD_MAGIC,
+        frame=FAKE_FRAME,
+        confidence=1e-4,
         preconditions=ALL_TRUE,
         factory=_FakeAdapter,
     )
@@ -51,29 +60,30 @@ def fake_proto(**overrides):
 
 
 class TestMagicSpec:
+    """The TCAM entry is derived from the frame, never written down."""
+
     def test_tcam_match_semantics(self):
-        spec = plugin.MagicSpec(pattern=b"\x14\x03", mask=b"\xfc\xff", confidence=0.5)
+        spec = FrameSpec(
+            ">BBH", "type version length", length="length",
+            const={"version": 3}, one_of={"type": (20, 21, 22, 23)}, magic_len=2,
+        )
+        assert (spec.pattern, spec.mask) == (b"\x14\x03", b"\xfc\xff")
         assert spec.matches(b"\x14\x03")
         assert spec.matches(b"\x17\x03\xff")  # low bits masked out; extra bytes ignored
         assert not spec.matches(b"\x18\x03")  # high bits differ
         assert not spec.matches(b"\x14")  # window shorter than the pattern
-
-    def test_pattern_mask_length_mismatch(self):
-        with pytest.raises(plugin.PluginError, match="length mismatch"):
-            plugin.MagicSpec(pattern=b"\x01\x02", mask=b"\xff", confidence=0.5)
-
-    def test_empty_pattern(self):
-        with pytest.raises(plugin.PluginError, match="non-empty"):
-            plugin.MagicSpec(pattern=b"", mask=b"", confidence=0.5)
+        # A mask may over-accept (kind 0 shares the toy kinds' high bits); the full check does not.
+        assert toy_l5p.FRAME.matches(b"\xa5\x00") and toy_l5p.FRAME.parse(b"\xa5\x00\x00\x00") is None
 
     def test_all_zero_mask(self):
-        with pytest.raises(plugin.PluginError, match="matches everything"):
-            plugin.MagicSpec(pattern=b"\x01", mask=b"\x00", confidence=0.5)
+        assert not any(FEATURELESS.mask)
+        with pytest.raises(plugin.PluginError, match="magic_identifiable"):
+            plugin.register(fake_proto(frame=FEATURELESS))
 
     @pytest.mark.parametrize("confidence", [0.0, -1.0, 1.5])
     def test_bad_confidence(self, confidence):
         with pytest.raises(plugin.PluginError, match="confidence"):
-            plugin.MagicSpec(pattern=b"\x01", mask=b"\xff", confidence=confidence)
+            fake_proto(confidence=confidence).validate()
 
 
 class TestDeclarationValidation:
@@ -83,13 +93,13 @@ class TestDeclarationValidation:
             plugin.register(proto)
 
     def test_missing_lists_unsatisfied_rows(self):
-        pre = plugin.Table3Preconditions(size_preserving=True, magic_identifiable=True)
-        assert pre.missing() == [
+        pre = plugin.Table3Preconditions(size_preserving=True)
+        assert fake_proto(preconditions=pre, frame=FEATURELESS).missing() == [
             "incremental_constant_state",
-            "header_plaintext_length",
             "state_from_msg_index",
+            "magic_identifiable",
         ]
-        assert ALL_TRUE.missing() == []
+        assert fake_proto().missing() == []
 
     def test_uppercase_name_rejected(self):
         with pytest.raises(plugin.PluginError, match="lowercase"):
@@ -100,18 +110,20 @@ class TestDeclarationValidation:
             fake_proto(name="other").validate()
 
     def test_header_len_mismatch(self):
-        with pytest.raises(plugin.PluginError, match="header_len"):
-            fake_proto(header_len=99).validate()
+        wider = FrameSpec(">2sBQ", "magic kind length", length="length", const={"magic": b"\xd1\xd9"})
+        with pytest.raises(plugin.PluginError, match="different frame"):
+            fake_proto(frame=wider).validate()
 
     def test_magic_longer_than_header(self):
-        wide = plugin.MagicSpec(pattern=b"\x00" * 8, mask=b"\xff" * 8, confidence=0.5)
-        with pytest.raises(plugin.PluginError, match="exceeds header_len"):
-            fake_proto(header_len=4, magic=wide).validate()
+        for magic_len in (0, 8):
+            with pytest.raises(ValueError, match="incoherent"):
+                FrameSpec(">2sBI", "magic kind length", length="length", magic_len=magic_len)
 
-    def test_magic_spec_must_cover_adapter_window(self):
-        one = plugin.MagicSpec(pattern=b"\xd1", mask=b"\xff", confidence=0.5)
-        with pytest.raises(plugin.PluginError, match="scans 2B windows"):
-            fake_proto(magic=one).validate()
+    def test_layout_and_names_must_pair_up(self):
+        with pytest.raises(ValueError, match="incoherent"):
+            FrameSpec(">2sBI", "magic length", length="length")
+        with pytest.raises(ValueError, match="incoherent"):
+            FrameSpec(">BH", "kind length", length="length", counts="payload")
 
 
 class TestRegistry:
@@ -148,11 +160,6 @@ class TestRegistry:
         with pytest.raises(plugin.PluginError, match="listed twice"):
             plugin.resolve(("tls", "tls"))
 
-    def test_magic_spec_lookup(self):
-        plugin.ensure_builtins()
-        assert plugin.magic_spec("tls") is plugin.get("tls").magic
-        assert plugin.magic_spec("nonesuch") is None
-
     def test_every_builtin_revalidates(self):
         for proto in plugin.registered():
             proto.validate()  # idempotent; exercises the factory probe
@@ -162,8 +169,7 @@ class TestDriverGate:
     def test_l5o_create_rejects_unregistered_adapter(self):
         class Rogue(L5pAdapter):
             name = "rogue"
-            header_len = 4
-            magic_len = 2
+            frame = FAKE_FRAME
 
         driver = OffloadNic().driver
         with pytest.raises(plugin.PluginError, match="unknown L5 protocol 'rogue'"):
@@ -189,7 +195,7 @@ class TestTestbedResolution:
     def test_protocols_resolved_at_construction(self):
         bed = Testbed(TestbedConfig(protocols=("tls", "resp")))
         assert set(bed.protocols) == {"tls", "resp"}
-        assert bed.protocols["resp"].header_len == RESP.HEADER_LEN
+        assert bed.protocols["resp"].frame is RESP.FRAME
 
     def test_unknown_protocol_fails_before_first_packet(self):
         with pytest.raises(plugin.PluginError, match="unknown L5 protocol"):
@@ -204,15 +210,16 @@ class TestTestbedResolution:
 
 
 def _assert_own_frame_recognized(name: str, frame: bytes) -> None:
-    """A protocol's magic spec and full check_magic must both accept the
-    header of every frame the protocol itself can emit (the mask is a
-    necessary condition: supersets allowed, misses never)."""
+    """For every frame a protocol's own encoder emits: the derived mask
+    and the full check accept its header (the mask is a necessary
+    condition: supersets allowed, misses never), and both the NIC's
+    parse and the frame's stream cut give the frame's real length."""
     proto = plugin.get(name)
     adapter = proto.factory()
     header = frame[: adapter.header_len]
-    assert proto.magic.matches(header)
+    assert proto.frame.matches(header)
     assert adapter.check_magic(header[: adapter.magic_len], None)
-    assert adapter.parse_header(header, None) is not None
+    assert adapter.parse_header(header, None).total_len == proto.frame.total_len(header) == len(frame)
 
 
 class TestMagicNeverMissesOwnFrames:
@@ -222,10 +229,7 @@ class TestMagicNeverMissesOwnFrames:
     )
     @settings(max_examples=60, deadline=None)
     def test_tls(self, content_type, length):
-        import struct
-
-        header = struct.pack(">BHH", content_type, TLS.VERSION, length)
-        _assert_own_frame_recognized("tls", header)
+        _assert_own_frame_recognized("tls", TLS.make_header(content_type, length) + bytes(length))
 
     @given(cid=st.integers(0, 0xFFFF), status=st.integers(0, 1))
     @settings(max_examples=40, deadline=None)
@@ -266,3 +270,125 @@ class TestMagicNeverMissesOwnFrames:
     @settings(max_examples=60, deadline=None)
     def test_resp(self, payload):
         _assert_own_frame_recognized("resp", RESP.make_frame(payload))
+
+
+REGISTERED = sorted(BUILTINS | {"toy"})
+
+
+def _nvme_check(f):
+    hlen = P.CH_LEN + P.PSH_LEN[f["type"]]
+    return {**f, "hlen": hlen, "plen": max(f["plen"], hlen + P.DDGST_LEN)}
+
+
+def _http2_check(f):
+    needs_stream = H2._NEEDS_STREAM.get(f["type"])
+    if needs_stream is not None:
+        f = {**f, "stream_id": f["stream_id"] | 1 if needs_stream else 0}
+    return {**f, "flags": f["flags"] & H2._VALID_FLAGS.get(f["type"], 0)}
+
+
+def _decomp_check(f):
+    plain_len = f["plain_len"] % (DC.MAX_PLAIN + 1)
+    return {**f, "plain_len": plain_len, "comp_len": min(f["comp_len"], DC._max_compressed(plain_len))}
+
+
+#: What a frame's ``check`` callable demands of fields its tables leave free.
+SATISFY_CHECK = {"nvme-tcp": _nvme_check, "http2": _http2_check, "decomp": _decomp_check}
+
+
+@st.composite
+def built_fields(draw, name):
+    """Field values the named protocol's frame can build a header from,
+    drawn from the frame's own tables."""
+    spec = plugin.get(name).frame
+    fields = {}
+    for field, width in spec.widths.items():
+        if field in spec.const:
+            continue
+        if field in spec.one_of:
+            fields[field] = draw(st.sampled_from(sorted(spec.one_of[field])))
+            continue
+        top = (1 << 8 * width) - 1
+        if field == spec.length and spec.max_len is not None:
+            top = spec.max_len
+        fields[field] = draw(st.integers(0, top)) & ~spec.zero_bits.get(field, 0)
+    fields = SATISFY_CHECK.get(name, dict)(fields)
+    try:
+        spec.build(**fields)
+    except ValueError:
+        assume(False)  # e.g. a TLS length too short for the tag
+    return fields
+
+
+def _with_bit_flips(header: bytes) -> list:
+    flips = [bytes(b ^ (1 << bit) if i == at else b for i, b in enumerate(header))
+             for at in range(len(header)) for bit in range(8)]
+    return [header] + flips
+
+
+def _endpoints(name: str) -> list:
+    """A bare instance of every endpoint class that speaks ``name``
+    (importing the ``repro.l5p`` packages defines them all)."""
+    found, todo = [], [StreamEndpoint]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.protocol == name and cls.__module__.split(".")[0] in ("repro", "toy_l5p"):
+            endpoint = cls.__new__(cls)
+            endpoint.frame = plugin.get(name).frame
+            found.append(endpoint)
+    return found
+
+
+@pytest.mark.parametrize("name", REGISTERED)
+class TestEveryRegisteredFrame:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_parse_inverts_build_and_the_mask_accepts_it(self, name, data):
+        spec = plugin.get(name).frame
+        fields = data.draw(built_fields(name))
+        header = spec.build(**fields)
+        parsed = spec.parse(header)
+        assert parsed._asdict() == {**spec.const, **fields}
+        assert spec.total_len(header) == spec.header_len + sum(spec.spans(parsed))
+        assert spec.matches(header) and spec.matches(header[: spec.magic_len])
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_check_magic_iff_parse_header(self, name, data):
+        """One spec-driven parse: the magic check accepts exactly the
+        headers the parse accepts — on built headers, on their one-bit
+        corruptions and on seeded random windows."""
+        adapter = plugin.get(name).factory()
+        size = adapter.header_len
+        noise = random.Random(f"windows:{name}").randbytes(512 + size)
+        candidates = _with_bit_flips(adapter.frame.build(**data.draw(built_fields(name))))
+        candidates += [noise[i : i + size] for i in range(512)]
+        for header in candidates:
+            assert adapter.check_magic(header, None) == (adapter.parse_header(header, None) is not None)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_software_cut_agrees_with_nic_parse(self, name, data):
+        """``StreamEndpoint._total_len`` and the adapter's parse give one
+        answer for every built header and every one-bit corruption of it.
+        kTLS is the named exception: it cuts by the length range alone,
+        so a corrupted type or version byte costs one record (an
+        authentication failure), not the stream (a framing error)."""
+        adapter = plugin.get(name).factory()
+        endpoints = _endpoints(name)
+        for header in _with_bit_flips(adapter.frame.build(**data.draw(built_fields(name)))):
+            desc = adapter.parse_header(header, None)
+            nic = desc.total_len if desc is not None else None
+            for endpoint in endpoints:
+                try:
+                    cut = endpoint._total_len(header)
+                except ValueError:
+                    cut = None
+                if isinstance(endpoint, KtlsSocket):
+                    length = int.from_bytes(header[3:5], "big")
+                    in_range = TLS.TAG_LEN <= length <= TLS.MAX_PLAINTEXT + TLS.TAG_LEN
+                    assert cut == (TLS.HEADER_LEN + length if in_range else None)
+                    assert nic in (None, cut)
+                else:
+                    assert cut == nic

@@ -33,7 +33,7 @@ class TestWireFormats:
     def test_build_pdu_with_digest(self):
         data = b"payload" * 100
         pdu = build_pdu(P.TYPE_C2H_DATA, P.make_data_psh(1, 0, len(data)), data, Crc32c, True)
-        assert P.pdu_total_len(pdu[:8]) == len(pdu)
+        assert P.CH.total_len(pdu[:8]) == len(pdu)
         assert pdu[-4:] == Crc32c(data).digest()
 
     def test_build_pdu_dummy_digest(self):
@@ -56,11 +56,11 @@ class TestWireFormats:
 
     def test_total_len_rejects_junk(self):
         with pytest.raises(ValueError):
-            P.pdu_total_len(b"\xff" * 8)  # bad type
+            P.CH.total_len(b"\xff" * 8)  # bad type
         good = P.make_ch(P.TYPE_C2H_DATA, 100, False)
         bad_hlen = good[:2] + b"\x05" + good[3:]
         with pytest.raises(ValueError):
-            P.pdu_total_len(bad_hlen)
+            P.CH.total_len(bad_hlen)
 
     def test_wrong_psh_length_rejected(self):
         with pytest.raises(ValueError):

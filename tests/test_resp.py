@@ -12,24 +12,24 @@ STEER = RespConfig(rx_offload_steer=True, steer_queues=4)
 class TestFraming:
     def test_round_trip(self):
         wire = F.make_frame(b"GET user:17")
-        assert F.parse_header(wire[: F.HEADER_LEN]) == len(b"GET user:17")
+        assert F.FRAME.parse(wire[: F.HEADER_LEN]).length == len(b"GET user:17")
         assert wire[F.HEADER_LEN : -F.TRAILER_LEN] == b"GET user:17"
         assert wire.endswith(b"\r\n")
 
     def test_bad_envelopes_rejected(self):
-        assert F.parse_header(b"*00000003\r\n") is None  # wrong sigil
-        assert F.parse_header(b"$0000000g\r\n") is None  # non-hex digit
-        assert F.parse_header(b"$0000000AXX") is None  # uppercase + no CRLF
-        assert F.parse_header(b"$ffffffff\r\n") is None  # over MAX_INLINE
-        assert F.parse_header(F.make_frame(b"x")[: F.HEADER_LEN]) == 1
+        assert F.FRAME.parse(b"*00000003\r\n") is None  # wrong sigil
+        assert F.FRAME.parse(b"$0000000g\r\n") is None  # non-hex digit
+        assert F.FRAME.parse(b"$0000000AXX") is None  # uppercase + no CRLF
+        assert F.FRAME.parse(b"$ffffffff\r\n") is None  # over MAX_INLINE
+        assert F.FRAME.parse(F.make_frame(b"x")[: F.HEADER_LEN]).length == 1
 
     def test_header_parses_from_a_view(self):
         # The NIC's search scan and the walker hand over views of packet
         # payloads; int(view, 16) is a TypeError.
         wire = memoryview(b"junk" + F.make_frame(b"GET user:17"))
-        assert F.parse_header(wire[4 : 4 + F.HEADER_LEN]) == len(b"GET user:17")
-        assert F.total_len(wire[4 : 4 + F.HEADER_LEN]) == len(wire) - 4
-        assert F.parse_header(wire[3 : 3 + F.HEADER_LEN]) is None
+        assert F.FRAME.parse(wire[4 : 4 + F.HEADER_LEN]).length == len(b"GET user:17")
+        assert F.FRAME.total_len(wire[4 : 4 + F.HEADER_LEN]) == len(wire) - 4
+        assert F.FRAME.parse(wire[3 : 3 + F.HEADER_LEN]) is None
 
     def test_steer_key_extraction(self):
         assert F.steer_key(b"GET user:17") == b"user:17"

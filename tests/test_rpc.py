@@ -62,15 +62,16 @@ class TestFraming:
     def test_frame_round_trip(self):
         payload = encode({"hello": "world"})
         wire = F.make_frame(F.TYPE_REQUEST, 7, 3, payload, Crc32c)
-        ftype, rpc_id, method_id, payload_len = F.parse_header(wire[: F.HEADER_LEN])
-        assert (ftype, rpc_id, method_id, payload_len) == (F.TYPE_REQUEST, 7, 3, len(payload))
-        assert wire[F.HEADER_LEN : F.HEADER_LEN + payload_len] == payload
+        header = F.FRAME.parse(wire[: F.HEADER_LEN])
+        assert header[1:] == (F.TYPE_REQUEST, 7, 3, len(payload))
+        assert wire[F.HEADER_LEN : F.HEADER_LEN + header.payload_len] == payload
+        assert F.FRAME.total_len(wire[: F.HEADER_LEN]) == len(wire)
 
     def test_bad_headers_rejected(self):
-        assert F.parse_header(b"XX" + bytes(11)) is None
+        assert F.FRAME.parse(b"XX" + bytes(11)) is None
         wire = F.make_frame(F.TYPE_RESPONSE, 1, 1, b"x", Crc32c)
         bad_type = wire[:2] + b"\x09" + wire[3:]
-        assert F.parse_header(bad_type[: F.HEADER_LEN]) is None
+        assert F.FRAME.parse(bad_type[: F.HEADER_LEN]) is None
 
 
 def rpc_pair(client_cfg=None, seed=0, **link_kwargs):

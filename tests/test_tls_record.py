@@ -1,6 +1,8 @@
 """TLS record layer unit tests: header formats, the adapter's magic
 pattern, nonce derivation, and transforms."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,12 +40,17 @@ class TestHeader:
         [
             bytes([99]) + make_header(23, 100)[1:],  # bad type
             make_header(23, 100)[:1] + b"\x02\x00" + make_header(23, 100)[3:],  # bad version
-            make_header(23, TAG_LEN - 1),  # too short for a tag
-            make_header(23, MAX_PLAINTEXT + TAG_LEN + 1),  # too long
+            struct.pack(">BHH", 23, VERSION, TAG_LEN - 1),  # too short for a tag
+            struct.pack(">BHH", 23, VERSION, MAX_PLAINTEXT + TAG_LEN + 1),  # too long
         ],
     )
     def test_adapter_rejects_invalid(self, header):
         assert TlsAdapter().parse_header(header, STATE) is None
+
+    def test_make_header_refuses_what_would_not_parse(self):
+        for content_type, length in ((99, 100), (23, TAG_LEN - 1), (23, MAX_PLAINTEXT + TAG_LEN + 1)):
+            with pytest.raises(ValueError):
+                make_header(content_type, length)
 
     def test_magic_is_full_header_check(self):
         adapter = TlsAdapter()

@@ -17,13 +17,27 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from repro.core.types import Direction, L5pAdapter, MessageDesc, MsgTransform, TxMsgState
+from repro.core.types import Direction, L5pAdapter, MsgTransform, TxMsgState
+from repro.l5p import plugin
 from repro.l5p.base import StreamEndpoint
+from repro.l5p.frame import FrameSpec
 
 MAGIC = 0xA5
 KINDS = (1, 2, 3)
-HEADER_LEN = 4
 TRAILER_LEN = 4
+
+#: The resync scan looks at magic + kind only, so a candidate can
+#: straddle a packet edge with the rest of its header still to come.
+FRAME = FrameSpec(
+    ">BBH",
+    "magic kind length",
+    length="length",
+    trailer=TRAILER_LEN,
+    const={"magic": MAGIC},
+    one_of={"kind": KINDS},
+    magic_len=2,
+)
+HEADER_LEN = FRAME.header_len
 
 
 def key_byte(msg_index: int) -> int:
@@ -33,15 +47,14 @@ def key_byte(msg_index: int) -> int:
 def encode_message(body: bytes, msg_index: int) -> bytes:
     """The true on-wire form (what the NIC should produce on TX)."""
     transformed = bytes(b ^ key_byte(msg_index) for b in body)
-    header = struct.pack(">BBH", MAGIC, 1, len(body))
+    header = FRAME.build(kind=1, length=len(body))
     checksum = sum(transformed) & 0xFFFFFFFF
     return header + transformed + struct.pack(">I", checksum)
 
 
 def plain_message(body: bytes) -> bytes:
     """What the L5P hands to TCP when offloading (dummy trailer)."""
-    header = struct.pack(">BBH", MAGIC, 1, len(body))
-    return header + body + b"\x00" * TRAILER_LEN
+    return FRAME.build(kind=1, length=len(body)) + body + b"\x00" * TRAILER_LEN
 
 
 class _ToyTransform(MsgTransform):
@@ -65,23 +78,7 @@ class _ToyTransform(MsgTransform):
 
 class ToyAdapter(L5pAdapter):
     name = "toy"
-    header_len = HEADER_LEN
-    magic_len = 2
-
-    def parse_header(self, header: bytes, static_state) -> Optional[MessageDesc]:
-        magic, kind, length = struct.unpack(">BBH", header)
-        if magic != MAGIC or kind not in KINDS:
-            return None
-        return MessageDesc(
-            kind=str(kind),
-            header_len=HEADER_LEN,
-            body_len=length,
-            trailer_len=TRAILER_LEN,
-            raw_header=header,
-        )
-
-    def check_magic(self, window: bytes, static_state) -> bool:
-        return len(window) >= 2 and window[0] == MAGIC and window[1] in KINDS
+    frame = FRAME
 
     def begin_message(self, direction, static_state, desc, msg_index, rr_state=None):
         return _ToyTransform(direction, msg_index)
@@ -125,13 +122,13 @@ class ToyL5pOps:
 
 
 class ToyEndpoint(StreamEndpoint):
-    """The whole endpoint of a protocol on the shared core: its framing,
-    which contexts it wants and when, and a per-message handler.  The
-    Listing-2 lifecycle — assembly, backpressure, TX log, resync
-    answers, degradation, NIC-reset reattach — is inherited."""
+    """The whole endpoint of a protocol on the shared core: which
+    contexts it wants and when, and a per-message handler.  Framing
+    comes from the registered FrameSpec; the Listing-2 lifecycle —
+    assembly, backpressure, TX log, resync answers, degradation,
+    NIC-reset reattach — is inherited."""
 
     protocol = "toy"
-    header_len = HEADER_LEN
 
     def __init__(self, host, conn, tx_offload: bool = False, rx_offload: bool = False):
         super().__init__(host)
@@ -141,12 +138,6 @@ class ToyEndpoint(StreamEndpoint):
         self._attach(conn)
         if conn.state == "established":
             self._on_established()
-
-    def _total_len(self, header: bytes) -> int:
-        magic, kind, length = struct.unpack(">BBH", header)
-        if magic != MAGIC or kind not in KINDS:
-            raise ValueError(f"bad toy header {header.hex()}")
-        return HEADER_LEN + length + TRAILER_LEN
 
     def _offload(self, direction: Direction):
         return (ToyAdapter(), None) if self.wants[direction] else None
@@ -173,38 +164,28 @@ class ToyEndpoint(StreamEndpoint):
 
 def software_decode(wire: bytes, msg_index: int) -> bytes:
     """Receiver-side software fallback: parse + verify + un-XOR."""
-    magic, kind, length = struct.unpack(">BBH", wire[:HEADER_LEN])
-    assert magic == MAGIC
+    length = FRAME.parse(wire[:HEADER_LEN]).length
     body = wire[HEADER_LEN : HEADER_LEN + length]
     trailer = wire[HEADER_LEN + length : HEADER_LEN + length + TRAILER_LEN]
     assert struct.unpack(">I", trailer)[0] == sum(body) & 0xFFFFFFFF
     return bytes(b ^ key_byte(msg_index) for b in body)
 
 
-from repro.l5p import plugin as _plugin
-
 #: Registered like any real protocol so driver-level tests pass the
 #: l5o_create registry gate — and so the registry tests have a plugin
 #: whose declaration they fully control.
-PLUGIN = _plugin.register(
-    _plugin.L5Protocol(
+PLUGIN = plugin.register(
+    plugin.L5Protocol(
         name="toy",
-        header_len=HEADER_LEN,
-        magic=_plugin.MagicSpec(
-            pattern=bytes([MAGIC, 0]),
-            mask=b"\xff\xfc",
-            confidence=1e-4,
-        ),
-        preconditions=_plugin.Table3Preconditions(
+        frame=FRAME,
+        confidence=1e-4,
+        preconditions=plugin.Table3Preconditions(
             size_preserving=True,
             incremental_constant_state=True,
-            header_plaintext_length=True,
-            magic_identifiable=True,
             state_from_msg_index=True,
             notes="XOR body keyed by msg_index; checksum trailer",
         ),
         factory=ToyAdapter,
         description="Unit-test miniature L5P",
-        info={"trailer_len": TRAILER_LEN, "ops": ("xor", "checksum")},
     )
 )
