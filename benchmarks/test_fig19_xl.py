@@ -58,7 +58,7 @@ def test_fig19_xl(benchmark, emit):
         "fig19_xl",
         table.render(),
         metrics=metrics,
-        meta={"cache_capacity_flows": cache_flows, "scheduler": grid[(FLOWS[0], "offload+zc")].scheduler},
+        meta={"cache_capacity_flows": cache_flows},
     )
 
     few = grid[(FLOWS[0], "offload+zc")]

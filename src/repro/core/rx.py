@@ -90,7 +90,7 @@ class RxEngine:
             ctx.expected_seq = end
             ctx.pkts_offloaded += 1
             pkt.meta.offloaded = True
-            ctx.adapter.apply_packet_meta(pkt.meta, processed=True, ok=result.all_ok, desc_kinds=[])
+            ctx.adapter.apply_packet_meta(pkt.meta, processed=True, ok=result.all_ok)
             return
         if sq.lt(pkt.seq, ctx.expected_seq):
             ctx.pkts_bypassed += 1

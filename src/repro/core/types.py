@@ -141,7 +141,7 @@ class L5pAdapter:
         transform may depend on at a message boundary (§3.2)."""
         raise NotImplementedError
 
-    def apply_packet_meta(self, meta, processed: bool, ok: bool, desc_kinds: list) -> None:
+    def apply_packet_meta(self, meta, processed: bool, ok: bool) -> None:
         """Set the driver-visible per-packet result bits (SkbMeta)."""
         raise NotImplementedError
 

@@ -3,7 +3,7 @@
 Every figure sweep and chaos soak is a grid of *independent, seeded*
 simulations — the embarrassingly-parallel shape the paper itself
 exploits with per-flow hardware contexts (§4).  This package fans those
-grid points out over ``multiprocessing`` workers while keeping the
+grid points out over forked worker processes while keeping the
 repository's determinism contract intact: each point is a pure function
 of its (serializable) parameters, results are merged keyed and ordered
 by point, and a parallel run is byte-identical to a serial one.
@@ -16,9 +16,7 @@ model.
 from repro.exec.engine import (
     GridError,
     PointFailure,
-    auto_chunksize,
     default_workers,
-    min_parallel_points,
     point_seed,
     run_grid,
     run_grid_dict,
@@ -28,9 +26,7 @@ from repro.exec.engine import (
 __all__ = [
     "GridError",
     "PointFailure",
-    "auto_chunksize",
     "default_workers",
-    "min_parallel_points",
     "point_seed",
     "run_grid",
     "run_grid_dict",

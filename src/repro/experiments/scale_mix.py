@@ -72,7 +72,6 @@ class MixPoint:
     churn_installs: int
     cache_capacity_flows: int
     events_fired: int
-    scheduler: str
 
 
 def _tenant_intervals(tenants: int, base: float) -> list:
@@ -93,7 +92,6 @@ def run_mix_point(
     duration: float = 20e-3,
     cache_bytes: int = 4 * 1024 * 1024,
     seed: int = 0,
-    scheduler=None,
 ) -> MixPoint:
     """Drive ``flows`` concurrent flows for ``duration`` simulated
     seconds and report cache/goodput behavior.
@@ -104,7 +102,7 @@ def run_mix_point(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r} (one of {VARIANTS})")
-    sim = Simulator(seed=seed, scheduler=scheduler)
+    sim = Simulator(seed=seed)
     pcie = PcieModel()
     cache = ContextCache(pcie, capacity_bytes=cache_bytes) if variant == "offload+zc" else None
     table: FlowTable = FlowTable()
@@ -195,5 +193,4 @@ def run_mix_point(
         churn_installs=table.installed_total - flows,
         cache_capacity_flows=(cache_bytes // CONTEXT_BYTES),
         events_fired=sim.events_fired,
-        scheduler=sim.scheduler_name,
     )

@@ -40,9 +40,6 @@ class TestbedConfig:
     faults: Optional[FaultPlan] = None
     model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
     nic_cache_bytes: int = 4 * 1024 * 1024
-    # Event-queue backend: "wheel" (slotted timers, default) or "heap";
-    # None reads REPRO_SIM_SCHEDULER.  Results are identical either way.
-    scheduler: Optional[str] = None
     # Enable the runtime invariant sanitizer (repro.analysis.sanitizer)
     # for this run; also switchable globally via REPRO_SANITIZE=1.
     sanitize: bool = False
@@ -77,7 +74,7 @@ class Testbed:
             from repro.analysis import sanitizer
 
             sanitizer.enable()
-        self.sim = Simulator(seed=cfg.seed, scheduler=cfg.scheduler)
+        self.sim = Simulator(seed=cfg.seed)
         self.obs = None
         if cfg.metrics or cfg.trace:
             from repro.obs import Obs

@@ -138,7 +138,7 @@ class DecompAdapter(L5pAdapter):
             raise ProtocolError("decompression offload is receive-only (§3.1)")
         return _DecompTransform(self, desc, rr_state if rr_state is not None else {})
 
-    def apply_packet_meta(self, meta, processed: bool, ok: bool, desc_kinds) -> None:
+    def apply_packet_meta(self, meta, processed: bool, ok: bool) -> None:
         meta.crc_ok = processed and ok
         meta.placed = processed and ok and self._pkt_place_ok
         self._pkt_place_ok = True

@@ -145,7 +145,7 @@ class DpiAdapter(L5pAdapter):
         del direction, static_state, msg_index, rr_state
         return _DpiTransform(self)
 
-    def apply_packet_meta(self, meta, processed: bool, ok: bool, desc_kinds) -> None:
+    def apply_packet_meta(self, meta, processed: bool, ok: bool) -> None:
         # Reuse crc_ok as the "scanned by NIC" bit and placed as the
         # per-packet "a match completed in this packet" report.
         meta.crc_ok = processed and ok

@@ -183,7 +183,7 @@ class Http2Adapter(L5pAdapter):
         del direction, static_state, msg_index
         return _Http2Transform(self, desc, rr_state)
 
-    def apply_packet_meta(self, meta, processed: bool, ok: bool, desc_kinds) -> None:
+    def apply_packet_meta(self, meta, processed: bool, ok: bool) -> None:
         if self.config.rx_offload_crc:
             meta.crc_ok = processed and ok
         if self.config.rx_offload_copy:

@@ -224,7 +224,7 @@ class NvmeAdapter(L5pAdapter):
         del direction, static_state, msg_index  # digests are stateless per PDU
         return _NvmeTransform(self, desc, rr_state)
 
-    def apply_packet_meta(self, meta, processed: bool, ok: bool, desc_kinds) -> None:
+    def apply_packet_meta(self, meta, processed: bool, ok: bool) -> None:
         if self.config.rx_offload_crc:
             meta.crc_ok = processed and ok
         if self.place:

@@ -156,7 +156,7 @@ class NvmeTlsAdapter(TlsAdapter):
         outer = super().begin_message(direction, static_state, desc, msg_index)
         return _StackedTransform(self, outer, direction)
 
-    def apply_packet_meta(self, meta, processed: bool, ok: bool, desc_kinds) -> None:
+    def apply_packet_meta(self, meta, processed: bool, ok: bool) -> None:
         meta.decrypted = processed and ok
         inner_on = self._inner_enabled[Direction.RX]
         inner_ok = processed and ok and inner_on and self._pkt_inner_ok

@@ -139,7 +139,7 @@ class RespAdapter(L5pAdapter):
         del direction, static_state, msg_index, rr_state
         return _RespTransform(self, desc.body_len)
 
-    def apply_packet_meta(self, meta, processed: bool, ok: bool, desc_kinds) -> None:
+    def apply_packet_meta(self, meta, processed: bool, ok: bool) -> None:
         meta.crc_ok = processed and ok  # framing (CRLF trailer) verified
         if self.config.rx_offload_steer and processed:
             meta.steer_queue = self._pkt_steer

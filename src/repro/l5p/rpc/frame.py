@@ -109,7 +109,7 @@ class RpcAdapter(L5pAdapter):
         del static_state, msg_index
         return _RpcTransform(self, desc, rr_state)
 
-    def apply_packet_meta(self, meta, processed: bool, ok: bool, desc_kinds) -> None:
+    def apply_packet_meta(self, meta, processed: bool, ok: bool) -> None:
         if self.config.rx_offload_crc:
             meta.crc_ok = processed and ok
         if self.config.rx_offload_copy:

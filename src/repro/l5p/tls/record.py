@@ -101,7 +101,7 @@ class TlsAdapter(L5pAdapter):
             return _TlsTxTransform(static_state, desc, msg_index)
         return _TlsRxTransform(static_state, desc, msg_index)
 
-    def apply_packet_meta(self, meta, processed: bool, ok: bool, desc_kinds) -> None:
+    def apply_packet_meta(self, meta, processed: bool, ok: bool) -> None:
         # One bit, set iff all ICVs within the packet passed (§5.2).
         meta.decrypted = processed and ok
 

@@ -7,6 +7,6 @@ time; results are computed from simulated time, never wall-clock.
 
 from repro.sim.event import Event
 from repro.sim.simulator import Simulator
-from repro.sim.wheel import SCHEDULERS, HeapScheduler, SlottedWheel, default_scheduler
+from repro.sim.wheel import SlottedWheel
 
-__all__ = ["Event", "Simulator", "SCHEDULERS", "HeapScheduler", "SlottedWheel", "default_scheduler"]
+__all__ = ["Event", "Simulator", "SlottedWheel"]

@@ -6,12 +6,9 @@ single seed, and carries the run's optional observability handle
 (``sim.obs``, a :class:`repro.obs.Obs`): components reach their metrics
 and tracer through the simulator they already hold.
 
-The event queue itself is pluggable (:mod:`repro.sim.wheel`): the
-default slotted timing wheel schedules in O(1) for datacenter-scale
-flow counts, while ``scheduler="heap"`` selects the single binary heap
-the reproduction originally shipped with.  Both fire events in exactly
-the same ``(time, seq)`` order, so the choice can never change a
-simulation result — only how fast it computes.
+The event queue is a slotted timing wheel (:mod:`repro.sim.wheel`):
+O(1) scheduling at datacenter-scale flow counts, and exactly the
+``(time, seq)`` firing order of a single binary heap.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ import random
 from typing import Any, Callable, Optional
 
 from repro.sim.event import Event
-from repro.sim.wheel import make_scheduler
+from repro.sim.wheel import SlottedWheel
 
 _FOREVER = float("inf")
 
@@ -33,18 +30,13 @@ class Simulator:
     seed:
         Seed for the simulation-wide random source.  Sub-components that
         need their own stream should call :meth:`substream`.
-    scheduler:
-        Event-queue backend: ``"wheel"`` (slotted timing wheel, the
-        default) or ``"heap"`` (single binary heap).  ``None`` reads the
-        ``REPRO_SIM_SCHEDULER`` environment knob.  Event order is
-        identical either way (proven by ``tests/test_sim_wheel.py``).
     """
 
-    def __init__(self, seed: int = 0, scheduler: Optional[str] = None):
+    def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.seed = seed
         self.random = random.Random(seed)
-        self._queue = make_scheduler(scheduler)
+        self._queue = SlottedWheel()
         self._scheduled = 0  # events ever scheduled: the (time, seq) tiebreak
         self._events_fired = 0
         self._pending = 0  # live non-canceled count; no queue scans
@@ -56,11 +48,6 @@ class Simulator:
     def now_ns(self) -> int:
         """The current simulated time in integer nanoseconds."""
         return round(self.now * 1e9)
-
-    @property
-    def scheduler_name(self) -> str:
-        """The active event-queue backend (``"wheel"`` or ``"heap"``)."""
-        return self._queue.name
 
     # ------------------------------------------------------------------
     # scheduling

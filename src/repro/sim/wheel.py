@@ -1,23 +1,19 @@
-"""Event-queue backends: a slotted timing wheel and the heapq reference.
+"""The event queue: a slotted timing wheel.
 
-Both schedulers expose the same three operations (``push``,
-``pop_due``, ``len``) and both fire events in exactly global ``(time,
-seq)`` order — the heap by construction, the wheel by a quantization
-argument spelled out below.  The wheel is the default because a single
-binary heap over hundreds of thousands of timers spends its time in
-``log n`` comparisons; the wheel replaces that with an O(1) bucket
-append on schedule and a heap over the handful of events that share one
-time slot on expiry.  ``repro.sim.Simulator`` selects the backend from
-its ``scheduler=`` argument or the ``REPRO_SIM_SCHEDULER`` environment
-knob, and ``tests/test_sim_wheel.py`` holds a hypothesis property test
-that the two backends produce byte-identical firing orders on
-randomized schedules (same times, same tiebreak, same cancellation
-semantics).
+The wheel fires events in exactly global ``(time, seq)`` order — the
+order a single binary heap over every pending event gives by
+construction — but a heap over hundreds of thousands of timers spends
+its time in ``log n`` comparisons; the wheel replaces that with an O(1)
+bucket append on schedule and a heap over the handful of events that
+share one time slot on expiry.  ``tests/test_sim_wheel.py`` keeps that
+binary heap as a reference and holds a hypothesis property test that
+the two produce identical firing orders on randomized schedules (same
+times, same tiebreak, same cancellation semantics).
 
 Why the wheel preserves exact order
 -----------------------------------
 Entries are ``(time, seq, event)`` tuples.  A slot index is
-``int(time / resolution)``; integer division is monotone in ``time``,
+``int(time / RESOLUTION)``; integer division is monotone in ``time``,
 so slot order respects time order, and two events in *different* slots
 can never need the seq tiebreak.  Within the active slot, entries live
 in a heap, so ties resolve by ``seq`` exactly as the global heap would.
@@ -33,69 +29,16 @@ whatever the cursor already covers.
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from repro.sim.event import Event
 
-#: Environment knob: default backend for every Simulator in the process.
-SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
-
-#: Registered backend names (values of ``scheduler=`` / the env knob).
-SCHEDULERS = ("wheel", "heap")
-
 #: One wheel slot covers this many simulated seconds.  Packet service
 #: times at 100 Gbps sit around 1e-7 s, so 1 µs slots put back-to-back
 #: wire events in the same slot (one tiny heap) while keeping distinct
 #: timer horizons (RTOs at 1e-3, probation at 5e-3) in distinct slots.
-DEFAULT_RESOLUTION = 1e-6
-
-
-def default_scheduler() -> str:
-    """Backend name from ``REPRO_SIM_SCHEDULER``; the wheel when unset."""
-    raw = os.environ.get(SCHEDULER_ENV, "").strip().lower()
-    if not raw:
-        return "wheel"
-    if raw not in SCHEDULERS:
-        raise ValueError(f"{SCHEDULER_ENV} must be one of {SCHEDULERS}, got {raw!r}")
-    return raw
-
-
-class HeapScheduler:
-    """The reference backend: one binary heap over every pending event.
-
-    Entries are ``(time, seq, event)`` tuples so ordering runs on
-    C-level tuple comparison; ``seq`` is unique, so the event itself is
-    never compared.
-    """
-
-    name = "heap"
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list = []
-
-    def push(self, event: Event) -> None:
-        heappush(self._heap, (event.time, event.seq, event))
-
-    def pop_due(self, limit: float) -> Optional[Event]:
-        """Remove and return the next non-canceled event if it is due at
-        or before ``limit``; None (and it stays queued) otherwise.
-        Canceled heads are dropped on the way (they are dead weight)."""
-        heap = self._heap
-        while heap:
-            time, _seq, event = heap[0]
-            if time > limit and not event.canceled:
-                return None
-            heappop(heap)
-            if not event.canceled:
-                return event
-        return None
-
-    def __len__(self) -> int:
-        return len(self._heap)
+RESOLUTION = 1e-6
 
 
 class SlottedWheel:
@@ -111,14 +54,9 @@ class SlottedWheel:
     index heap.
     """
 
-    name = "wheel"
+    __slots__ = ("_cursor", "_current", "_slots", "_slot_heap", "_size")
 
-    __slots__ = ("_resolution", "_cursor", "_current", "_slots", "_slot_heap", "_size")
-
-    def __init__(self, resolution: float = DEFAULT_RESOLUTION) -> None:
-        if resolution <= 0:
-            raise ValueError(f"resolution must be positive, got {resolution!r}")
-        self._resolution = resolution
+    def __init__(self) -> None:
         self._cursor = 0  # highest slot index the active heap covers
         self._current: list = []  # heap of (time, seq, event) at <= cursor
         self._slots: dict = {}  # index -> unsorted [(time, seq, event)]
@@ -126,7 +64,7 @@ class SlottedWheel:
         self._size = 0
 
     def push(self, event: Event) -> None:
-        index = int(event.time / self._resolution)
+        index = int(event.time / RESOLUTION)
         self._size += 1
         if index <= self._cursor:
             # Joins the active slot: the heap restores (time, seq) order
@@ -169,14 +107,3 @@ class SlottedWheel:
 
     def __len__(self) -> int:
         return self._size
-
-
-def make_scheduler(name: Optional[str] = None):
-    """Instantiate a backend by name (None = env default)."""
-    if name is None:
-        name = default_scheduler()
-    if name == "wheel":
-        return SlottedWheel()
-    if name == "heap":
-        return HeapScheduler()
-    raise ValueError(f"unknown scheduler {name!r} (expected one of {SCHEDULERS})")

@@ -129,7 +129,7 @@ class TestNvmeAdapter:
         t.process(pdu[8:-4])
         assert adapter.place_failures == 1
         meta = SkbMeta()
-        adapter.apply_packet_meta(meta, processed=True, ok=True, desc_kinds=[])
+        adapter.apply_packet_meta(meta, processed=True, ok=True)
         assert meta.placed is False
 
     def test_placement_out_of_bounds_rejected(self):

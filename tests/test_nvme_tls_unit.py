@@ -100,7 +100,7 @@ class TestStackedRx:
         assert result.all_ok
         assert bytes(buffer) == data  # placed by the inner walker
         meta = SkbMeta()
-        adapter.apply_packet_meta(meta, processed=True, ok=True, desc_kinds=[])
+        adapter.apply_packet_meta(meta, processed=True, ok=True)
         assert meta.decrypted and meta.crc_ok and meta.placed
 
     def test_disruption_disables_inner_but_tls_continues(self):
@@ -113,7 +113,7 @@ class TestStackedRx:
         result = walk(ctx, wire1)
         assert result.all_ok  # TLS still verifies
         meta = SkbMeta()
-        adapter.apply_packet_meta(meta, processed=True, ok=True, desc_kinds=[])
+        adapter.apply_packet_meta(meta, processed=True, ok=True)
         assert meta.decrypted
         assert not meta.crc_ok and not meta.placed  # inner is off
 

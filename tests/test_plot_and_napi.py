@@ -1,45 +1,9 @@
-"""Tests for the ASCII plot helpers and the host's NAPI receive path."""
-
-import pytest
+"""Tests for the host's flow steering and NAPI receive path."""
 
 from helpers import make_pair
-from repro.harness.plot import line_chart, sparkline
 from repro.net.host import Host, flow_hash
 from repro.net.packet import FlowKey, Packet
 from repro.sim import Simulator
-
-
-class TestSparkline:
-    def test_monotone_series(self):
-        s = sparkline([1, 2, 3, 4, 5])
-        assert len(s) == 5
-        assert s[0] < s[-1]  # bar characters grow in codepoint order
-
-    def test_flat_series(self):
-        assert len(set(sparkline([7, 7, 7]))) == 1
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-
-class TestLineChart:
-    def test_renders_all_series(self):
-        out = line_chart({"a": [1, 2, 3], "b": [3, 2, 1]}, x_labels=[0, 1, 2], height=5)
-        assert "legend:" in out
-        assert "*=a" in out and "o=b" in out
-        assert out.count("\n") >= 6
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            line_chart({"a": [1, 2]}, x_labels=[0, 1, 2])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            line_chart({}, x_labels=[])
-
-    def test_overlap_marker(self):
-        out = line_chart({"a": [5.0], "b": [5.0]}, x_labels=["x"], height=4)
-        assert "#" in out
 
 
 class TestFlowSteering:

@@ -1,19 +1,22 @@
 """Unit tests for the discrete-event simulation core.
 
-Every test runs against both event-queue backends (the slotted timing
-wheel and the binary heap): the scheduler is pluggable and must never
-change observable behavior.
+Every test runs on the simulator's slotted timing wheel and again on the
+binary-heap reference queue from ``test_sim_wheel``: the wheel must
+never change observable behavior.
 """
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Simulator, SlottedWheel
+from test_sim_wheel import HeapScheduler
 
 
-@pytest.fixture(params=["wheel", "heap"])
+@pytest.fixture(params=[SlottedWheel, HeapScheduler], ids=["wheel", "heap"])
 def make_sim(request):
     def _make(seed=0):
-        return Simulator(seed=seed, scheduler=request.param)
+        sim = Simulator(seed=seed)
+        sim._queue = request.param()
+        return sim
 
     return _make
 

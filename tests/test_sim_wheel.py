@@ -1,17 +1,53 @@
-"""The slotted timing wheel must be observationally identical to the
-binary heap: same fire order (time, then scheduling sequence), same
-cancellation semantics, same clock behavior — on *any* schedule.
+"""The slotted timing wheel must be observationally identical to a
+single binary heap: same fire order (time, then scheduling sequence),
+same cancellation semantics, same clock behavior — on *any* schedule.
 
-This is the contract that makes the scheduler a pure performance knob:
-repro.sim picks the wheel by default, and no simulation result may
-depend on that choice.
+:class:`HeapScheduler` below is that reference: one heap over every
+pending event, in ``(time, seq)`` order by construction.  It lives
+here, not in ``repro.sim``, because its only job is to be the oracle.
 """
+
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import SCHEDULERS, HeapScheduler, Simulator, SlottedWheel, default_scheduler
-from repro.sim.wheel import SCHEDULER_ENV, make_scheduler
+from repro.sim import Simulator, SlottedWheel
+
+
+class HeapScheduler:
+    """The reference backend: one binary heap over every pending event.
+
+    Entries are ``(time, seq, event)`` tuples so ordering runs on
+    C-level tuple comparison; ``seq`` is unique, so the event itself is
+    never compared.
+    """
+
+    __slots__ = ("_heap",)
+
+    def __init__(self) -> None:
+        self._heap: list = []
+
+    def push(self, event) -> None:
+        heappush(self._heap, (event.time, event.seq, event))
+
+    def pop_due(self, limit: float):
+        """Remove and return the next non-canceled event if it is due at
+        or before ``limit``; None (and it stays queued) otherwise.
+        Canceled heads are dropped on the way (they are dead weight)."""
+        heap = self._heap
+        while heap:
+            time, _seq, event = heap[0]
+            if time > limit and not event.canceled:
+                return None
+            heappop(heap)
+            if not event.canceled:
+                return event
+        return None
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
 
 # One event spec: absolute time, an optional child delay (the callback
 # reschedules, exercising mid-run pushes), and a pre-run cancel flag.
@@ -26,9 +62,10 @@ EVENT_SPECS = st.lists(
 )
 
 
-def _trace(scheduler, specs, until, extra):
-    """Run one randomized schedule; return every observable outcome."""
-    sim = Simulator(scheduler=scheduler)
+def _trace(queue, specs, until, extra):
+    """Run one randomized schedule on ``queue``; return every observable outcome."""
+    sim = Simulator()
+    sim._queue = queue
     order = []
 
     def fire(label, child_delay):
@@ -55,38 +92,7 @@ def _trace(scheduler, specs, until, extra):
 @settings(max_examples=200, deadline=None)
 @given(specs=EVENT_SPECS, until=st.sampled_from([None, 2e-4, 6e-4]), extra=EVENT_SPECS)
 def test_wheel_fires_in_exact_heap_order(specs, until, extra):
-    assert _trace("wheel", specs, until, extra) == _trace("heap", specs, until, extra)
-
-
-def test_default_is_the_wheel():
-    assert default_scheduler() == "wheel"
-    assert Simulator().scheduler_name == "wheel"
-    assert "wheel" in SCHEDULERS and "heap" in SCHEDULERS
-
-
-def test_env_knob_selects_the_backend(monkeypatch):
-    monkeypatch.setenv(SCHEDULER_ENV, "heap")
-    assert default_scheduler() == "heap"
-    assert Simulator().scheduler_name == "heap"
-    # An explicit constructor argument beats the environment.
-    assert Simulator(scheduler="wheel").scheduler_name == "wheel"
-
-
-def test_unknown_scheduler_rejected(monkeypatch):
-    with pytest.raises(ValueError):
-        make_scheduler("splay-tree")
-    monkeypatch.setenv(SCHEDULER_ENV, "fifo")
-    with pytest.raises(ValueError):
-        Simulator()
-
-
-def test_testbed_config_scheduler_knob():
-    from repro.harness.testbed import TestbedConfig
-
-    cfg = TestbedConfig(scheduler="heap")
-    from repro.harness.testbed import Testbed
-
-    assert Testbed(cfg).sim.scheduler_name == "heap"
+    assert _trace(SlottedWheel(), specs, until, extra) == _trace(HeapScheduler(), specs, until, extra)
 
 
 FOREVER = float("inf")

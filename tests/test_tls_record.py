@@ -107,8 +107,8 @@ class TestTransforms:
 
         adapter = TlsAdapter()
         meta = SkbMeta()
-        adapter.apply_packet_meta(meta, processed=True, ok=True, desc_kinds=[])
+        adapter.apply_packet_meta(meta, processed=True, ok=True)
         assert meta.decrypted
         meta = SkbMeta()
-        adapter.apply_packet_meta(meta, processed=True, ok=False, desc_kinds=[])
+        adapter.apply_packet_meta(meta, processed=True, ok=False)
         assert not meta.decrypted

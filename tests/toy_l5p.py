@@ -83,7 +83,7 @@ class ToyAdapter(L5pAdapter):
     def begin_message(self, direction, static_state, desc, msg_index, rr_state=None):
         return _ToyTransform(direction, msg_index)
 
-    def apply_packet_meta(self, meta, processed: bool, ok: bool, desc_kinds) -> None:
+    def apply_packet_meta(self, meta, processed: bool, ok: bool) -> None:
         meta.decrypted = processed and ok
         meta.crc_ok = ok
 
