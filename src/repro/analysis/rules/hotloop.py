@@ -2,11 +2,11 @@
 
 The vectorized hot path (docs/performance.md) exists because a Python
 ``for byte in data:`` loop pays interpreter dispatch per *byte* while
-the batched rewrites (slicing-by-8 CRC, whole-record GHASH, multi-block
-CTR, big-int XOR) pay it per 8–16 bytes or per record.  A per-byte loop
-creeping back into ``crypto/``, ``net/``, or ``core/`` is how the 2x
-iperf-TLS win silently erodes, so this rule flags the idiom in those
-packages.
+the batched rewrites (bit-matrix CRC32C, whole-record GHASH,
+multi-block CTR, big-int XOR) pay it per 16 bytes, per block or per
+record.  A per-byte loop creeping back into ``crypto/``, ``net/``, or
+``core/`` is how the 2x iperf-TLS win silently erodes, so this rule
+flags the idiom in those packages.
 
 Detection is a heuristic tuned to the codebase: a ``for`` statement
 whose iterable is a plain name or attribute (i.e. an existing buffer —

@@ -45,7 +45,9 @@ class MessageDesc:
     body_len: int
     trailer_len: int
     raw_header: bytes
-    info: dict = field(default_factory=dict)
+    #: The header's named fields: the protocol ``FrameSpec``'s ``Fields``
+    #: NamedTuple, read by attribute (``desc.info.type``).
+    info: Any = None
 
     @property
     def total_len(self) -> int:
@@ -113,13 +115,13 @@ class L5pAdapter:
 
     def parse_header(self, header: bytes, static_state: Any) -> Optional[MessageDesc]:
         """Parse a full header; None if it cannot be a valid message.
-        ``info`` carries the header's named fields."""
+        ``info`` is the header's ``frame.Fields`` NamedTuple."""
         frame = self.frame
         fields = frame.parse(header)
         if fields is None:
             return None
         body_len, trailer_len = frame.spans(fields)
-        return MessageDesc(frame.header_len, body_len, trailer_len, header, fields._asdict())
+        return MessageDesc(frame.header_len, body_len, trailer_len, header, fields)
 
     def check_magic(self, window: bytes, static_state: Any) -> bool:
         """Plausibility test of ``magic_len`` bytes at a candidate header

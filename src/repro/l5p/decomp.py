@@ -67,7 +67,7 @@ class _DecompTransform(MsgTransform):
     def __init__(self, adapter: "DecompAdapter", desc: MessageDesc, rr_state: dict):
         self.adapter = adapter
         self.digest = adapter.digest_cls()
-        self.plain_len = desc.info["plain_len"]
+        self.plain_len = desc.info.plain_len
         self.rr_state = rr_state
         self.decoder = StreamingDecoder()
         pool = rr_state.get("_pool")
@@ -75,7 +75,7 @@ class _DecompTransform(MsgTransform):
         self._failed = self.buffer is None or len(self.buffer) < self.plain_len
         if self._failed:
             adapter.note_place_failure()
-        self._msg_id = desc.info["msg_id"]
+        self._msg_id = desc.info.msg_id
 
     def process(self, data: bytes) -> bytes:
         self.digest.update(data)

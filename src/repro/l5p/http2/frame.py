@@ -128,7 +128,7 @@ class _Http2Transform(MsgTransform):
 
     def __init__(self, adapter: "Http2Adapter", desc: MessageDesc, rr_state: Optional[dict]):
         self.adapter = adapter
-        self.fcs = bool(desc.info["flags"] & FLAG_FCS)
+        self.fcs = bool(desc.info.flags & FLAG_FCS)
         self.digest = adapter.digest_cls() if self.fcs else None
         self._offset = 0
         self._target = None
@@ -138,7 +138,7 @@ class _Http2Transform(MsgTransform):
             and adapter.config.rx_offload_copy
             and rr_state is not None
         ):
-            entry = rr_state.get(desc.info["stream_id"])
+            entry = rr_state.get(desc.info.stream_id)
             if entry is not None and entry["offset"] + desc.body_len <= len(entry["buffer"]):
                 self._target = entry["buffer"]
                 self._start = entry["offset"]

@@ -157,13 +157,13 @@ class _NvmeTransform(MsgTransform):
         self.desc = desc
         self.rr_state = rr_state if rr_state is not None else {}
         self.digest = adapter.digest_cls()
-        self._psh_need = PSH_LEN[desc.info["type"]]
+        self._psh_need = PSH_LEN[desc.info.type]
         self._psh = bytearray()
         self._data_pos = 0
         self._target = None  # (buffer, base_offset) once PSH parsed
 
     def _resolve_placement(self) -> None:
-        if not self.adapter.place or self.desc.info["type"] != TYPE_C2H_DATA:
+        if not self.adapter.place or self.desc.info.type != TYPE_C2H_DATA:
             return
         cid, data_offset, data_len = parse_data_psh(bytes(self._psh))
         buffer = self.rr_state.get(cid)

@@ -66,10 +66,10 @@ class _RpcTransform(MsgTransform):
         self._target = None
         if (
             adapter.config.rx_offload_copy
-            and desc.info["type"] == TYPE_RESPONSE
+            and desc.info.type == TYPE_RESPONSE
             and rr_state is not None
         ):
-            buffer = rr_state.get(desc.info["rpc_id"])
+            buffer = rr_state.get(desc.info.rpc_id)
             if buffer is not None and desc.body_len <= len(buffer):
                 self._target = buffer
             else:

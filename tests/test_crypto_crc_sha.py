@@ -2,12 +2,25 @@
 
 import hashlib
 import hmac as std_hmac
+import random
 import zlib
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.crc import Crc32c, FastCrc, crc32, crc32c, get_digest
+import repro.crypto.crc as crc_module
+from repro.crypto.crc import (
+    _STEP,
+    _TABLE_C,
+    _TABLE_IEEE,
+    Crc32c,
+    FastCrc,
+    _crc_bytewise,
+    _odd_bytes,
+    crc32,
+    crc32c,
+    get_digest,
+)
 from repro.crypto.sha1 import hmac_sha1, sha1
 
 
@@ -55,18 +68,17 @@ class TestCrc32:
         assert crc32(data) == zlib.crc32(data)
 
 
-class TestSlice8Property:
-    """The slicing-by-8 hot path is bit-identical to the one-byte
-    reference and to zlib, for any stream chunking (docs/performance.md:
-    vectorization must never change a digest)."""
+class TestBitMatrixProperty:
+    """The bit-matrix CRC32C is bit-identical to the one-byte reference
+    for every length, block boundary, incoming state, buffer type and
+    stream chunking (docs/performance.md: a faster digest must never
+    change one)."""
 
     @given(
         data=st.binary(max_size=2000),
         splits=st.lists(st.integers(min_value=0, max_value=2000), max_size=6),
     )
     def test_chunked_crc32c_equals_one_shot_equals_reference(self, data, splits):
-        from repro.crypto.crc import _SLICE8_C, _TABLE_C, _crc_bytewise
-
         one_shot = crc32c(data)
         assert one_shot == _crc_bytewise(_TABLE_C, data, 0)
         crc = 0
@@ -75,15 +87,12 @@ class TestSlice8Property:
             crc = crc32c(data[last:split], crc)
             last = split
         assert crc == one_shot
-        assert _SLICE8_C[0] is _TABLE_C  # slice table 0 IS the bytewise table
 
     @given(
         data=st.binary(max_size=2000),
         splits=st.lists(st.integers(min_value=0, max_value=2000), max_size=6),
     )
     def test_chunked_crc32_equals_one_shot_equals_zlib_fastcrc(self, data, splits):
-        from repro.crypto.crc import _TABLE_IEEE, _crc_bytewise
-
         one_shot = crc32(data)
         assert one_shot == zlib.crc32(data)
         assert one_shot == _crc_bytewise(_TABLE_IEEE, data, 0)
@@ -94,17 +103,44 @@ class TestSlice8Property:
             crc = crc32(data[last:split], crc)
             fast.update(data[last:split])
             last = split
-        # streaming slice-8 == one-shot == the zlib-backed FastCrc digest
         assert crc == one_shot == fast.intdigest()
 
-    @given(data=st.binary(min_size=1, max_size=64))
-    def test_word_boundary_tails(self, data):
-        # Lengths straddling the 8-byte word boundary exercise the
-        # scalar tail loop; every length must agree with the reference.
-        from repro.crypto.crc import _TABLE_C, _crc_bytewise
-
+    @given(data=st.binary(min_size=80, max_size=80), crc=st.integers(0, 0xFFFFFFFF))
+    def test_every_length_0_to_80(self, data, crc):
+        # 0-3 bytes are shorter than the state prefix; all lengths take
+        # the same path and must agree with the reference.
         for end in range(len(data) + 1):
-            assert crc32c(data[:end]) == _crc_bytewise(_TABLE_C, data[:end], 0)
+            assert crc32c(data[:end], crc) == _crc_bytewise(_TABLE_C, data[:end], crc)
+
+    @given(data=st.binary(max_size=300), crc=st.integers(0, 0xFFFFFFFF))
+    def test_bytes_bytearray_and_memoryview_slice_agree(self, data, crc):
+        expected = _crc_bytewise(_TABLE_C, data, crc)
+        framed = memoryview(b"head" + data + b"tail")[4 : 4 + len(data)]
+        assert crc32c(data, crc) == crc32c(bytearray(data), crc) == crc32c(framed, crc) == expected
+
+    def test_block_boundaries(self):
+        # Lengths around one matrix block, and a multi-block buffer with a
+        # partial last block, as bytes and as a memoryview slice.
+        rng = random.Random(28)
+        data = rng.randbytes(3 * _STEP + 7)
+        crc = rng.getrandbits(32)
+        for n in range(_STEP - 8, _STEP + 9):
+            assert crc32c(data[:n], crc) == _crc_bytewise(_TABLE_C, data[:n], crc), n
+        expected = _crc_bytewise(_TABLE_C, data, crc)
+        assert crc32c(data, crc) == crc32c(memoryview(b"x" + data)[1:], crc) == expected
+
+    def test_parity_fallback_path_matches_reference(self, monkeypatch):
+        # The pre-3.10 popcount stand-in, driven through the one CRC path.
+        monkeypatch.setattr(crc_module, "_popcount", _odd_bytes)
+        rng = random.Random(39)
+        for n in (0, 1, 3, 4, 5, 63, 1448, _STEP + 1):
+            data = rng.randbytes(n)
+            crc = rng.getrandbits(32)
+            assert crc32c(data, crc) == _crc_bytewise(_TABLE_C, data, crc), n
+
+    @given(v=st.one_of(st.integers(min_value=0), st.integers(min_value=0, max_value=1 << 20000)))
+    def test_parity_fallback_matches_bin_count(self, v):
+        assert _odd_bytes(v) & 1 == bin(v).count("1") & 1
 
 
 class TestFastCrc:
