@@ -3,51 +3,43 @@
 Generic linters cannot know that ``time.time()`` breaks simulation
 reproducibility or that ``% (1 << 32)`` outside ``repro/tcp/seq.py`` is
 a re-implementation of sequence-number wraparound.  The rules here
-encode exactly those project invariants; each one maps to a property
-the paper's correctness argument relies on (see DESIGN.md §11).
+encode exactly those project invariants, and each one has caught real
+code in this repository's history (docs/static-analysis.md names the
+hits; DESIGN.md §11 maps them to the paper).
 
-This module holds the core vocabulary — :class:`Finding`,
-:class:`SourceModule`, the :class:`LintRule`/:class:`ProjectRule` base
-classes, and suppression parsing.  The pass pipeline (caching, project
-passes, output formats) lives in :mod:`repro.analysis.pipeline`; the
-CLI entry point is :func:`main`.
+This module holds the whole lint: :class:`Finding`,
+:class:`SourceModule`, the :class:`LintRule` base class, suppression
+parsing and :func:`run_rules`, the one loop that runs every rule over
+every file.  Run it with ``python -m repro.analysis [paths...]``; it
+takes paths only.  Exit status is 0 when the tree is clean, 1 when any
+rule fired, 2 on usage errors.
 
-Run with ``python -m repro.analysis [paths...]``.  Exit status is 0
-when the tree is clean, 1 when any rule fired, 2 on usage errors.
-
-Suppression comes in two flavors:
-
-- ``# noqa`` / ``# noqa: SIM002`` — the legacy flake8-style trailing
-  comment.  Silences rules for that line, never warns when stale.
-- ``# sim: noqa[SIM002]`` (comma-separated codes allowed; bare
-  ``# sim: noqa`` silences everything) — the project syntax.  It does
-  not collide with ruff's ``SIM*`` rule namespace, and a suppression
-  that matches no finding is itself reported as ``SIM998`` so waivers
-  cannot silently outlive the code they excused.
+A finding is waived with ``# sim: noqa[SIM002]`` on its line
+(comma-separated codes allowed; bare ``# sim: noqa`` silences every
+rule on that line).  A waiver that matches no finding is itself
+reported as ``SIM998``, so waivers cannot outlive the code they
+excused.  Flake8-style ``# noqa`` comments belong to ruff and never
+silence a ``SIM`` code.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
+import io
 import re
 import sys
-from dataclasses import dataclass, field
+import tokenize
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-#: ``# noqa`` / ``# noqa: SIM001, SIM002`` trailing-comment syntax.
-_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9_,\s]+))?", re.IGNORECASE)
-
-#: The project syntax: ``sim: noqa[SIM006]`` (codes comma-separated,
-#: bare form silences everything) in a trailing comment.
+#: ``sim: noqa[SIM006]`` (codes comma-separated, bare form silences
+#: everything) in a trailing comment.
 _SIM_NOQA_RE = re.compile(r"#\s*sim:\s*noqa(?:\[(?P<codes>[A-Z0-9_,\s]*)\])?", re.IGNORECASE)
 
-#: Pseudo-codes emitted by the pipeline itself (not by a registered rule).
+#: Pseudo-codes emitted by :func:`run_rules` itself (not by a rule).
 UNUSED_SUPPRESSION_CODE = "SIM998"
 SYNTAX_ERROR_CODE = "SIM999"
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -62,27 +54,15 @@ class Finding:
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-        }
-
 
 @dataclass
 class SourceModule:
     """A parsed source file handed to each rule."""
 
     path: Path
-    text: str
     tree: ast.AST
-    #: line number -> set of suppressed codes; the empty set means "all".
-    noqa: dict = field(default_factory=dict)
-    #: same, for the project ``sim: noqa[...]`` syntax (tracked for staleness).
-    sim_noqa: dict = field(default_factory=dict)
+    #: line number -> codes its waiver comment names; the empty set means "all".
+    sim_noqa: dict
 
     @property
     def posix_path(self) -> str:
@@ -97,89 +77,44 @@ class SourceModule:
             message=message,
         )
 
-    def suppressed(self, finding: Finding) -> bool:
-        for table in (self.noqa, self.sim_noqa):
-            codes = table.get(finding.line)
-            if codes is not None and (not codes or finding.code in codes):
-                return True
-        return False
-
 
 class LintRule:
     """Base class: one per-module rule, one code, one ``check`` generator."""
 
     code: str = "SIM000"
-    name: str = "abstract"
-    description: str = ""
-    #: Pass family, for ``--list-rules`` and the DESIGN §11 rule table.
-    family: str = "core"
 
     def check(self, module: SourceModule) -> Iterable[Finding]:
         raise NotImplementedError
 
 
-class ProjectRule(LintRule):
-    """A whole-project pass: sees every scanned file, not one module.
-
-    ``check_project`` receives a :class:`ModuleSet`-like loader (see
-    :mod:`repro.analysis.pipeline`) exposing ``paths`` (every scanned
-    file) and ``load(path) -> SourceModule`` (parsed on demand and
-    memoized), so cross-artifact passes only pay for the files they
-    actually inspect.
-    """
-
-    family = "consistency"
-
-    def check(self, module: SourceModule) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, modules) -> Iterable[Finding]:
-        raise NotImplementedError
-
-
-def _comment_lines(text: str) -> Iterator[tuple[int, str]]:
-    """``(lineno, comment_text)`` for every real COMMENT token.
+def _parse_suppressions(text: str) -> dict:
+    """``{line: codes}`` for every ``# sim: noqa`` comment.
 
     Tokenizing (rather than regex-scanning raw lines) keeps docstrings
-    and string literals that merely *mention* the noqa syntax from
+    and string literals that merely *mention* the syntax from
     registering as suppressions.
     """
-    import io
-    import tokenize
-
+    table: dict = {}
     try:
         for token in tokenize.generate_tokens(io.StringIO(text).readline):
-            if token.type == tokenize.COMMENT:
-                yield token.start[0], token.string
+            if token.type != tokenize.COMMENT:
+                continue
+            match = _SIM_NOQA_RE.search(token.string)
+            if match is None:
+                continue
+            codes = match.group("codes")
+            table[token.start[0]] = set() if codes is None else {
+                c.strip().upper() for c in codes.split(",") if c.strip()
+            }
     except (tokenize.TokenizeError, IndentationError, SyntaxError):
-        return
-
-
-def _parse_suppressions(comments: Sequence[tuple], pattern: re.Pattern) -> dict:
-    table: dict = {}
-    for lineno, comment in comments:
-        match = pattern.search(comment)
-        if match is None:
-            continue
-        codes = match.group("codes")
-        if codes is None:
-            table[lineno] = set()
-        else:
-            table[lineno] = {c.strip().upper() for c in codes.split(",") if c.strip()}
+        pass
     return table
 
 
 def load_module(path: Path) -> SourceModule:
     text = path.read_text(encoding="utf-8")
     tree = ast.parse(text, filename=str(path))
-    comments = list(_comment_lines(text))
-    return SourceModule(
-        path=path,
-        text=text,
-        tree=tree,
-        noqa=_parse_suppressions(comments, _NOQA_RE),
-        sim_noqa=_parse_suppressions(comments, _SIM_NOQA_RE),
-    )
+    return SourceModule(path=path, tree=tree, sim_noqa=_parse_suppressions(text))
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
@@ -190,20 +125,48 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
             yield path
 
 
-def run_rules(
-    paths: Sequence[Path],
-    rules: Optional[Sequence[LintRule]] = None,
-) -> list[Finding]:
+def _check_file(path: Path, rules: Sequence[LintRule]) -> list[Finding]:
+    """One file's findings after its waivers, plus SIM998 for stale ones."""
+    try:
+        module = load_module(path)
+    except SyntaxError as exc:
+        return [
+            Finding(str(path), exc.lineno or 1, (exc.offset or 0) + 1, SYNTAX_ERROR_CODE, f"syntax error: {exc.msg}")
+        ]
+    kept: list[Finding] = []
+    used: set[int] = set()
+    for rule in rules:
+        for finding in rule.check(module):
+            codes = module.sim_noqa.get(finding.line)
+            if codes is not None and (not codes or finding.code in codes):
+                used.add(finding.line)
+            else:
+                kept.append(finding)
+    for line in sorted(set(module.sim_noqa) - used):
+        codes = module.sim_noqa[line]
+        label = ",".join(sorted(codes)) if codes else "all rules"
+        kept.append(
+            Finding(
+                str(path),
+                line,
+                1,
+                UNUSED_SUPPRESSION_CODE,
+                f"unused suppression: `# sim: noqa[{label}]` matched no finding; remove it",
+            )
+        )
+    return kept
+
+
+def run_rules(paths: Sequence[Path], rules: Optional[Sequence[LintRule]] = None) -> list[Finding]:
     """Run ``rules`` (default: all registered) over every ``.py`` file
-    under ``paths``; returns findings sorted by location.
+    under ``paths``; returns findings sorted by location."""
+    if rules is None:
+        from repro.analysis.rules import all_rules
 
-    Convenience wrapper over the pipeline with caching disabled —
-    the API tests and embedding callers use; the CLI adds caching and
-    output formats on top.
-    """
-    from repro.analysis.pipeline import run_analysis
-
-    return run_analysis(paths, rules=rules, cache_path=None)
+        rules = all_rules()
+    findings = [f for path in iter_python_files(paths) for f in _check_file(path, rules)]
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+    return findings
 
 
 def default_target() -> Path:
@@ -212,75 +175,19 @@ def default_target() -> Path:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.analysis.pipeline import default_cache_path, run_analysis
-    from repro.analysis.rules import all_rules
-    from repro.analysis.sarif import to_sarif
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="Project static analysis: determinism, offloadability-contract, "
-        "and cross-artifact consistency passes (--list-rules names them).",
-    )
-    parser.add_argument("paths", nargs="*", type=Path, help="files/directories to lint (default: the repro package)")
-    parser.add_argument("--select", help="comma-separated rule codes to run (default: all)")
-    parser.add_argument("--list-rules", action="store_true", help="print the registered rules and exit")
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="findings output format (default: text)",
-    )
-    parser.add_argument("--output", type=Path, help="write findings to this file instead of stdout")
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        help=f"findings cache file (default: {default_cache_path()}; set REPRO_ANALYSIS_CACHE to move it)",
-    )
-    parser.add_argument("--no-cache", action="store_true", help="disable the mtime+hash findings cache")
-    args = parser.parse_args(argv)
-
-    rules = all_rules()
-    if args.list_rules:
-        for rule in rules:
-            print(f"{rule.code}  [{rule.family}] {rule.name}: {rule.description}")
-        return 0
-    if args.select is not None:
-        wanted = {code.strip().upper() for code in args.select.split(",") if code.strip()}
-        if not wanted:
-            print("--select given but no rule codes named", file=sys.stderr)
-            return 2
-        unknown = wanted - {rule.code for rule in rules}
-        if unknown:
-            print(f"unknown rule code(s): {', '.join(sorted(unknown))}", file=sys.stderr)
-            return 2
-        rules = [rule for rule in rules if rule.code in wanted]
-
-    paths = list(args.paths) or [default_target()]
+    args = list(sys.argv[1:] if argv is None else argv)
+    if any(arg.startswith("-") for arg in args):
+        print("usage: python -m repro.analysis [paths...]  (default: the repro package)", file=sys.stderr)
+        return 2
+    paths = [Path(arg) for arg in args] or [default_target()]
     missing = [p for p in paths if not p.exists()]
     if missing:
         print(f"no such path: {', '.join(map(str, missing))}", file=sys.stderr)
         return 2
 
-    cache_path = None if args.no_cache else (args.cache or default_cache_path())
-    findings = run_analysis(paths, rules=rules, cache_path=cache_path)
-
-    if args.format == "text":
-        rendered = "\n".join(f.format() for f in findings)
-    elif args.format == "json":
-        rendered = json.dumps(
-            {"findings": [f.as_dict() for f in findings], "count": len(findings)},
-            indent=2,
-            sort_keys=True,
-        )
-    else:
-        rendered = json.dumps(to_sarif(findings, all_rules()), indent=2, sort_keys=True)
-
-    if args.output is not None:
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(rendered + "\n", encoding="utf-8")
-    elif rendered:
-        print(rendered)
+    findings = run_rules(paths)
+    for finding in findings:
+        print(finding.format())
     if findings:
         print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1

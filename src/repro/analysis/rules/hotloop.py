@@ -57,11 +57,6 @@ def _uses_bytewise_arith(body: list[ast.stmt], names: set[str]) -> bool:
 
 class HotLoopRule(LintRule):
     code = "SIM013"
-    name = "no-per-byte-hot-loop"
-    description = (
-        "per-byte `for byte in data:` loops in hot modules (crypto/, net/, "
-        "core/) defeat the vectorized hot path; batch with struct/int-on-bytes"
-    )
 
     def check(self, module: SourceModule) -> Iterable[Finding]:
         if not _in_hot_package(module):

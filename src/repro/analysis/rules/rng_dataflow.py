@@ -96,9 +96,6 @@ def _direct_statements(scope: _FuncScope) -> Iterator[ast.stmt]:
 
 class RngSharingRule(LintRule):
     code = "SIM006"
-    name = "rng-sharing"
-    description = "RNG streams must not be shared across components; derive one substream per consumer"
-    family = "determinism"
 
     def check(self, module: SourceModule) -> Iterable[Finding]:
         if module.posix_path.endswith(_HOME):

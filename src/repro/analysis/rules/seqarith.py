@@ -65,11 +65,6 @@ def _is_mod_2_32_literal(node: ast.AST) -> bool:
 
 class SeqArithmeticRule(LintRule):
     code = "SIM002"
-    name = "seq-arithmetic"
-    description = (
-        "raw 32-bit sequence arithmetic outside repro/tcp/seq.py; "
-        "use the sq.add/sq.sub/sq.wrap wraparound helpers"
-    )
 
     def check(self, module: SourceModule) -> Iterable[Finding]:
         if module.posix_path.endswith(_HOME):

@@ -94,11 +94,6 @@ class _Imports:
 
 class WallClockRule(LintRule):
     code = "SIM001"
-    name = "no-wall-clock"
-    description = (
-        "wall-clock reads and global `random` calls break simulation "
-        "determinism; use Simulator.now / Simulator.substream()"
-    )
 
     def check(self, module: SourceModule) -> Iterable[Finding]:
         imports = _Imports(module.tree)
