@@ -1,15 +1,9 @@
-"""Benchmark harness configuration.
+"""Benchmark harness: every module-level ``Figure`` in ``test_*.py`` is a test.
 
-Every benchmark regenerates one of the paper's tables or figures: it
-runs the matching experiment on the simulated testbed, prints the same
-rows/series the paper reports, and saves them under benchmarks/out/ so
-EXPERIMENTS.md can be cross-checked against fresh runs.
-
-Benchmarks that pass ``metrics=`` to the ``emit`` fixture dual-emit: the
-human-readable text plus a machine-readable ``out/<name>.json`` (schema
-in :mod:`repro.obs.bench`), which ``python -m repro.obs.regress`` gates
-against ``benchmarks/baseline.json``.  ``REPRO_BENCH_QUICK=1`` switches
-the sweeps to the reduced-scale grids CI runs (see ``benchlib``).
+Each benchmark regenerates one of the paper's tables or figures on the
+simulated testbed and saves it under ``benchmarks/out/`` (see
+``benchlib``).  The collected item is named after the figure's output,
+so ``-k fig16`` selects Figure 16.
 """
 
 import os
@@ -19,29 +13,16 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from benchlib import bench_name  # noqa: E402 (path set up above)
-from repro.obs.bench import write_bench_json  # noqa: E402
-
-OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
+from benchlib import QUICK, Figure, run_figure  # noqa: E402 (path set up above)
 
 
-@pytest.fixture
-def emit():
-    """Print a figure/table reproduction and persist it to out/.
+def pytest_pycollect_makeitem(collector, name, obj):
+    if not isinstance(obj, Figure):
+        return None
 
-    ``metrics`` (optional) is a flat ``name -> number`` mapping written
-    alongside as ``out/<name>.json`` for the perf-regression gate.
-    """
+    def test():
+        if QUICK and obj.quick is None:
+            pytest.skip("no quick grid")
+        run_figure(obj)
 
-    def _emit(name: str, text: str, metrics=None, meta=None) -> None:
-        name = bench_name(name)
-        os.makedirs(OUT_DIR, exist_ok=True)
-        print()
-        print(f"=== {name} ===")
-        print(text)
-        with open(os.path.join(OUT_DIR, f"{name}.txt"), "w") as fh:
-            fh.write(text + "\n")
-        if metrics is not None:
-            write_bench_json(OUT_DIR, name, metrics, meta)
-
-    return _emit
+    return pytest.Function.from_parent(collector, name=obj.name, callobj=test)

@@ -8,6 +8,7 @@ paper's evaluation, but implied by its design discussion):
 - TLS record size vs recovery effectiveness under loss.
 """
 
+from benchlib import Figure, fields, record_mix
 from repro.experiments.iperf_tls import run_iperf
 from repro.experiments.scalability import run_scale_point
 from repro.harness.report import Table
@@ -17,38 +18,47 @@ SEED = 41
 
 
 def _full_fraction(run):
-    total = max(1, sum(run.records.values()))
-    return run.records["full"] / total
+    return record_mix(run)["full"]
 
 
-def test_ablation_recovery_mechanisms(benchmark, emit):
-    def runs():
-        def off_boundary(nic):
-            nic.rx_engine.enable_boundary_resync = False
+def iperf_metrics(label):
+    """Goodput, fully offloaded fraction and resyncs of each run, keyed by its row label."""
+    return lambda grid: {
+        f"{label(point)}.{name}": value
+        for point, run in grid.items()
+        for name, value in (("gbps", run.goodput_gbps), ("full_frac", _full_fraction(run)), ("resyncs", run.resyncs))
+    }
 
-        def off_everything(nic):
-            nic.rx_engine.enable_boundary_resync = False
-            nic.rx_engine.enable_speculation = False
 
-        return {
-            "full machinery": run_iperf("tls-offload", "rx", streams=16, loss=LOSS, seed=SEED),
-            "no boundary resync": run_iperf(
-                "tls-offload", "rx", streams=16, loss=LOSS, seed=SEED, tune_nic=off_boundary
-            ),
-            "no recovery at all": run_iperf(
-                "tls-offload", "rx", streams=16, loss=LOSS, seed=SEED, tune_nic=off_everything
-            ),
-        }
+def iperf_table(title, header, label, resyncs=False):
+    """One row per run: its label, Gbps, fully offloaded % (and resyncs)."""
 
-    grid = benchmark.pedantic(runs, rounds=1, iterations=1)
-    table = Table(
-        ["configuration", "Gbps", "fully offloaded %", "resyncs"],
-        title=f"Ablation: RX recovery machinery at {100 * LOSS:.0f}% loss",
-    )
-    for name, run in grid.items():
-        table.row(name, run.goodput_gbps, f"{100 * _full_fraction(run):.0f}%", run.resyncs)
-    emit("ablation_recovery", table.render())
+    def table(m, grid):
+        t = Table([header, "Gbps", "fully offloaded %"] + (["resyncs"] if resyncs else []), title=title)
+        for k in map(label, grid):
+            extra = [m[f"{k}.resyncs"]] if resyncs else []
+            t.row(k, m[f"{k}.gbps"], f"{100 * m[f'{k}.full_frac']:.0f}%", *extra)
+        return t.render()
 
+    return table
+
+
+RECOVERY = {  # row label -> what to switch off
+    "full machinery": (),
+    "no boundary resync": ("enable_boundary_resync",),
+    "no recovery at all": ("enable_boundary_resync", "enable_speculation"),
+}
+
+
+def run_recovery(config):
+    def tune(nic):
+        for knob in RECOVERY[config]:
+            setattr(nic.rx_engine, knob, False)
+
+    return run_iperf("tls-offload", "rx", streams=16, loss=LOSS, seed=SEED, tune_nic=tune)
+
+
+def recovery_check(grid):
     full = _full_fraction(grid["full machinery"])
     no_boundary = _full_fraction(grid["no boundary resync"])
     none_at_all = _full_fraction(grid["no recovery at all"])
@@ -63,78 +73,85 @@ def test_ablation_recovery_mechanisms(benchmark, emit):
     assert none_at_all < 0.05
 
 
-def test_ablation_resync_latency(benchmark, emit):
-    def runs():
-        # Small records make speculation the dominant recovery path
-        # (headers are lost along with data), so the request latency
-        # actually bites.
-        out = {}
-        for delay in (0.0, 500e-6, 2e-3):
-            def tune(nic, d=delay):
-                nic.driver.resync_delay_s = d
+ABLATION_RECOVERY = Figure(
+    "ablation_recovery", tuple(RECOVERY), run_recovery, iperf_metrics(str),
+    iperf_table(f"Ablation: RX recovery machinery at {100 * LOSS:.0f}% loss", "configuration", str, resyncs=True),
+    recovery_check,
+)
 
-            out[delay] = run_iperf(
-                "tls-offload", "rx", streams=16, loss=LOSS, record_size=2048, seed=SEED, tune_nic=tune
-            )
-        return out
 
-    grid = benchmark.pedantic(runs, rounds=1, iterations=1)
-    table = Table(
-        ["resync request delay", "Gbps", "fully offloaded %"],
-        title=f"Ablation: driver resync latency at {100 * LOSS:.0f}% loss",
+def run_resync_latency(delay_us):
+    # Small records make speculation the dominant recovery path
+    # (headers are lost along with data), so the request latency
+    # actually bites.
+    def tune(nic):
+        nic.driver.resync_delay_s = delay_us / 1e6
+
+    return run_iperf(
+        "tls-offload", "rx", streams=16, loss=LOSS, record_size=2048, seed=SEED, tune_nic=tune
     )
-    for delay, run in grid.items():
-        table.row(f"{delay * 1e6:.0f}us", run.goodput_gbps, f"{100 * _full_fraction(run):.0f}%")
-    emit("ablation_resync_latency", table.render())
 
+
+def resync_latency_check(grid):
     # Slower confirmations keep the NIC bypassing longer.
-    assert _full_fraction(grid[0.0]) >= _full_fraction(grid[2e-3])
+    assert _full_fraction(grid[0]) >= _full_fraction(grid[2000])
 
 
-def test_ablation_record_size_under_loss(benchmark, emit):
-    def runs():
-        return {
-            size: run_iperf("tls-offload", "rx", streams=16, loss=LOSS, record_size=size, seed=SEED)
-            for size in (2 * 1024, 8 * 1024, 16 * 1024)
-        }
+ABLATION_RESYNC_LATENCY = Figure(
+    "ablation_resync_latency", (0, 500, 2000), run_resync_latency, iperf_metrics("{}us".format),
+    iperf_table(f"Ablation: driver resync latency at {100 * LOSS:.0f}% loss", "resync request delay", "{}us".format),
+    resync_latency_check,
+)
 
-    grid = benchmark.pedantic(runs, rounds=1, iterations=1)
-    table = Table(
-        ["record size", "Gbps", "fully offloaded %"],
-        title=f"Ablation: record size vs recovery at {100 * LOSS:.0f}% loss",
-    )
-    for size, run in grid.items():
-        table.row(f"{size // 1024}KiB", run.goodput_gbps, f"{100 * _full_fraction(run):.0f}%")
-    emit("ablation_record_size", table.render())
 
+def run_record_size(kib):
+    return run_iperf("tls-offload", "rx", streams=16, loss=LOSS, record_size=kib * 1024, seed=SEED)
+
+
+def record_size_check(grid):
     # Smaller records put more headers on the wire, so after a loss the
     # NIC re-locks sooner (boundary re-locks and partially-past tracking
     # walks find a header within a packet or two) and a larger fraction
     # of records survives fully offloaded.  Note: more headers also mean
     # losses hit headers more often, driving more speculative searches
     # (see the resync counts) — but confirmations resolve quickly.
-    assert _full_fraction(grid[2 * 1024]) > _full_fraction(grid[16 * 1024])
-    assert grid[2 * 1024].resyncs > grid[16 * 1024].resyncs
+    assert _full_fraction(grid[2]) > _full_fraction(grid[16])
+    assert grid[2].resyncs > grid[16].resyncs
 
 
-def test_ablation_nic_cache_size(benchmark, emit):
-    def runs():
-        # Same connection count against shrinking caches.
-        return {
-            scale: run_scale_point(512, variant="offload+zc", server_cores=4, scale=scale, measure=6e-3)
-            for scale in (4, 64, 512)
-        }
+ABLATION_RECORD_SIZE = Figure(
+    "ablation_record_size", (2, 8, 16), run_record_size, iperf_metrics("{}KiB".format),
+    iperf_table(f"Ablation: record size vs recovery at {100 * LOSS:.0f}% loss", "record size", "{}KiB".format),
+    record_size_check,
+)
 
-    grid = benchmark.pedantic(runs, rounds=1, iterations=1)
+
+def run_cache_size(scale):
+    # Same connection count against shrinking caches.
+    return run_scale_point(512, variant="offload+zc", server_cores=4, scale=scale, measure=6e-3)
+
+
+def cache_size_table(m, grid):
     table = Table(
         ["cache flows", "Gbps", "ctx miss %", "rx batch"],
         title="Ablation: NIC context-cache size, 512 connections",
     )
-    for scale, p in grid.items():
-        table.row(p.cache_capacity_flows, p.goodput_gbps, f"{100 * p.cache_miss_rate:.1f}%", p.mean_rx_batch)
-    emit("ablation_cache_size", table.render())
+    for scale in grid:
+        key = f"scale{scale}"
+        miss = f"{100 * m[f'{key}.cache_miss_rate']:.1f}%"
+        table.row(m[f"{key}.cache_capacity_flows"], m[f"{key}.goodput_gbps"], miss, m[f"{key}.mean_rx_batch"])
+    return table.render()
 
+
+def cache_size_check(grid):
     # Misses rise as the cache shrinks below the flow count...
     assert grid[512].cache_miss_rate > grid[4].cache_miss_rate
     # ...but throughput survives (batching hides the misses, §6.5).
     assert grid[512].goodput_gbps > 0.5 * grid[4].goodput_gbps
+
+
+ABLATION_CACHE_SIZE = Figure(
+    "ablation_cache_size", (4, 64, 512), run_cache_size,
+    fields("scale{}".format, "cache_capacity_flows", "goodput_gbps", "cache_miss_rate", "mean_rx_batch"),
+    cache_size_table, cache_size_check,
+)

@@ -1,107 +1,74 @@
-"""Extension benchmarks — §7 applicability, beyond the paper's own
-evaluation: the datagram (DTLS) offload, inline decompression, the RPC
-copy offload, and the magic-pattern false-positive analysis."""
+"""Extension benchmark — §7 applicability, beyond the paper's own
+evaluation: the RPC response copy+CRC offload.  (The magic-pattern
+false-positive analysis lives in test_fig_l5p_plugins.py, which scans
+every registered protocol.)"""
 
-import random
-
+from benchlib import Figure
 from repro.harness.report import Table
 from repro.harness.testbed import Testbed, TestbedConfig
-from repro.l5p.nvme_tcp.pdu import NvmeAdapter, NvmeConfig
 from repro.l5p.rpc import RpcClient, RpcConfig, RpcServer
-from repro.l5p.tls.record import TlsAdapter
 from repro.util.units import gbps
 
 
-def test_ext_rpc_copy_offload(benchmark, emit):
-    def run(offload):
-        tb = Testbed(TestbedConfig(seed=3, server_cores=1, generator_cores=4))
-        service = RpcServer(tb.generator, port=7000)
-        blob = bytes(128 * 1024)
-        service.register(1, lambda args: blob)
-        cfg = RpcConfig(rx_offload_crc=offload, rx_offload_copy=offload)
-        client = RpcClient(tb.server, "generator", port=7000, config=cfg)
-        done = []
-        outstanding = 8
+def run_point(offload):
+    tb = Testbed(TestbedConfig(seed=3, server_cores=1, generator_cores=4))
+    service = RpcServer(tb.generator, port=7000)
+    blob = bytes(128 * 1024)
+    service.register(1, lambda args: blob)
+    cfg = RpcConfig(rx_offload_crc=offload, rx_offload_copy=offload)
+    client = RpcClient(tb.server, "generator", port=7000, config=cfg)
+    done = []
+    outstanding = 8
 
-        def issue():
-            client.call(1, {}, finish)
+    def issue():
+        client.call(1, {}, finish)
 
-        def finish(value, lat):
-            done.append(lat)
+    def finish(value, lat):
+        done.append(lat)
+        issue()
+
+    def start():
+        for _ in range(outstanding):
             issue()
 
-        def start():
-            for _ in range(outstanding):
-                issue()
+    tb.server.sim.call_soon(start)
+    tb.run(until=30e-3)
+    moved = len(done) * len(blob)
+    return {
+        "gbps": gbps(max(moved, 1), 30e-3),
+        "placed": client.stats["placed"],
+        "cycles": tb.server.cpu.total_cycles,
+        "calls": len(done),
+    }
 
-        tb.server.sim.call_soon(start)
-        tb.run(until=30e-3)
-        moved = len(done) * len(blob)
-        return {
-            "gbps": gbps(max(moved, 1), 30e-3),
-            "placed": client.stats["placed"],
-            "cycles": tb.server.cpu.total_cycles,
-            "calls": len(done),
-        }
 
-    results = benchmark.pedantic(lambda: (run(False), run(True)), rounds=1, iterations=1)
-    base, off = results
+def metrics(grid):
+    base, off = grid[False], grid[True]
+    return {
+        "sw.gbps": base["gbps"],
+        "sw.calls": base["calls"],
+        "sw.mcycles": base["cycles"] / 1e6,
+        "offload.gbps": off["gbps"],
+        "offload.calls": off["calls"],
+        "offload.placed": off["placed"],
+        "offload.mcycles": off["cycles"] / 1e6,
+    }
+
+
+def table(m, grid):
     table = Table(
         ["config", "Gbps", "calls", "NIC-placed", "client Mcycles"],
         title="Extension: RPC response copy+CRC offload (128KiB blobs)",
     )
-    table.row("software", base["gbps"], base["calls"], base["placed"], base["cycles"] / 1e6)
-    table.row("offload", off["gbps"], off["calls"], off["placed"], off["cycles"] / 1e6)
-    emit(
-        "ext_rpc_offload",
-        table.render(),
-        metrics={
-            "sw.gbps": base["gbps"],
-            "sw.calls": base["calls"],
-            "sw.mcycles": base["cycles"] / 1e6,
-            "offload.gbps": off["gbps"],
-            "offload.calls": off["calls"],
-            "offload.placed": off["placed"],
-            "offload.mcycles": off["cycles"] / 1e6,
-        },
-    )
+    table.row("software", m["sw.gbps"], m["sw.calls"], grid[False]["placed"], m["sw.mcycles"])
+    table.row("offload", m["offload.gbps"], m["offload.calls"], m["offload.placed"], m["offload.mcycles"])
+    return table.render()
 
+
+def check(grid):
+    off, base = grid[True], grid[False]
     assert off["placed"] == off["calls"] > 0
     assert off["gbps"] > base["gbps"]
 
 
-def test_ext_magic_false_positives(benchmark, emit):
-    """DESIGN.md ablation: how often does each L5P's magic pattern match
-    random payload bytes?  Rarely enough that speculative tracking (which
-    verifies chained headers) converges quickly."""
-
-    def scan():
-        rng = random.Random(7)
-        data = rng.randbytes(2_000_000)
-        tls = TlsAdapter()
-        nvme = NvmeAdapter(NvmeConfig())
-        hits = {"tls": 0, "nvme": 0}
-        for i in range(len(data) - 16):
-            if tls.check_magic(data[i : i + tls.magic_len], None):
-                hits["tls"] += 1
-            if nvme.check_magic(data[i : i + nvme.magic_len], None):
-                hits["nvme"] += 1
-        return len(data), hits
-
-    total, hits = benchmark.pedantic(scan, rounds=1, iterations=1)
-    table = Table(
-        ["adapter", "candidates / MB", "false-positive rate"],
-        title="Extension: magic-pattern false positives on random bytes",
-    )
-    metrics = {"windows": total}
-    for name in ("tls", "nvme"):
-        rate = hits[name] / total
-        table.row(name, hits[name] / (total / 1e6), f"{rate:.2e}")
-        metrics[f"{name}.hits"] = hits[name]
-    emit("ext_magic_false_positives", table.render(), metrics=metrics)
-
-    # TLS: 6 valid types x 1 version x ~16K lengths out of 2^40 ~ 1e-7;
-    # NVMe's CH constraints are similarly tight.  Either way far below
-    # one candidate per packet, so tracking converges.
-    assert hits["tls"] / total < 1e-4
-    assert hits["nvme"] / total < 1e-4
+EXT_RPC_OFFLOAD = Figure("ext_rpc_offload", (False, True), run_point, metrics, table, check)

@@ -1,6 +1,7 @@
 """Figure 2: L5P overheads — compute-bound, offloadable cycles out of
 the total, for NVMe-TCP (256K messages) and TLS (16K records)."""
 
+from benchlib import Figure
 from repro.experiments.fio_cycles import run_fio_point
 from repro.experiments.iperf_tls import run_iperf
 from repro.harness.report import Table
@@ -8,39 +9,38 @@ from repro.harness.report import Table
 PAPER = {"nvme write": 0.46, "nvme read": 0.49, "tls transmit": 0.74, "tls receive": 0.60}
 
 
-def run_all():
-    nvme_write = run_fio_point(256 * 1024, iodepth=16, mode="randwrite", measure=8e-3)
-    nvme_read = run_fio_point(256 * 1024, iodepth=16, mode="randread", measure=8e-3)
-    tls_tx = run_iperf("tls-sw", direction="tx", measure=6e-3)
-    tls_rx = run_iperf("tls-sw", direction="rx", measure=6e-3)
-    return nvme_write, nvme_read, tls_tx, tls_rx
+def run_point(name):
+    if name.startswith("nvme"):
+        mode = "randwrite" if name == "nvme write" else "randread"
+        return run_fio_point(256 * 1024, iodepth=16, mode=mode, measure=8e-3)
+    return run_iperf("tls-sw", direction="tx" if name == "tls transmit" else "rx", measure=6e-3)
 
 
-def test_fig02(benchmark, emit):
-    nvme_write, nvme_read, tls_tx, tls_rx = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def cycles(name, run):
+    """``(offloadable, busy)`` cycles: copy+crc for NVMe-TCP, crypto for TLS."""
+    if name.startswith("nvme"):
+        return run.cycles_crc + run.cycles_copy, run.cycles_crc + run.cycles_copy + run.cycles_other
+    return run.dut_cycles.get("crypto", 0), sum(run.dut_cycles.values())
+
+
+def metrics(grid):
+    cols = ("offloadable_cycles", "busy_cycles")
+    return {f"{name}.{col}": v for name, run in grid.items() for col, v in zip(cols, cycles(name, run))}
+
+
+def table(m, grid):
     table = Table(
         ["workload", "offloadable cycles", "total busy cycles", "offloadable %", "paper %"],
         title="Figure 2: compute-bound (offloadable) share of L5P processing",
     )
-
-    def nvme_row(name, point):
-        busy = point.cycles_crc + point.cycles_copy + point.cycles_other
-        offloadable = point.cycles_crc + point.cycles_copy
+    for name in grid:
+        offloadable, busy = m[f"{name}.offloadable_cycles"], m[f"{name}.busy_cycles"]
         table.row(name, offloadable, busy, f"{100 * offloadable / busy:.0f}%", f"{100 * PAPER[name]:.0f}%")
-        return offloadable / busy
+    return table.render()
 
-    def tls_row(name, run):
-        busy = sum(run.dut_cycles.values())
-        crypto = run.dut_cycles.get("crypto", 0)
-        table.row(name, crypto, busy, f"{100 * crypto / busy:.0f}%", f"{100 * PAPER[name]:.0f}%")
-        return crypto / busy
 
-    w = nvme_row("nvme write", nvme_write)
-    r = nvme_row("nvme read", nvme_read)
-    t = tls_row("tls transmit", tls_tx)
-    x = tls_row("tls receive", tls_rx)
-    emit("fig02_l5p_overheads", table.render())
-
+def check(grid):
+    w, r, t, x = (off / busy for off, busy in (cycles(name, run) for name, run in grid.items()))
     # Shape: the offloadable share is large everywhere, crypto dominates
     # TLS more than copy+crc dominates NVMe-TCP, and the transmit share
     # is at least as high as receive (our tx/rx shares sit within a few
@@ -50,3 +50,6 @@ def test_fig02(benchmark, emit):
     assert 0.55 <= t <= 0.85
     assert 0.40 <= x <= 0.75
     assert t > x - 0.03
+
+
+FIG02 = Figure("fig02_l5p_overheads", tuple(PAPER), run_point, metrics, table, check)

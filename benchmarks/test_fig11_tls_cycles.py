@@ -2,6 +2,7 @@
 the single-core throughput gains of the real TLS offload (paper: 3.3x
 transmit, 2.2x receive)."""
 
+from benchlib import Figure, fields, product
 from repro.experiments.iperf_tls import run_iperf
 from repro.harness.report import Table
 
@@ -14,61 +15,76 @@ PAPER_SHARE = {  # crypto % per record size, transmit / receive
 }
 
 
-def sweep(direction):
-    return [
-        run_iperf("tls-sw", direction=direction, record_size=size, measure=6e-3)
-        for size in RECORD_SIZES
-    ]
+def run_record(point):
+    direction, size = point
+    return run_iperf("tls-sw", direction=direction, record_size=size, measure=6e-3)
 
 
-def test_fig11_cycles_per_record(benchmark, emit):
-    tx_runs = benchmark.pedantic(sweep, args=("tx",), rounds=1, iterations=1)
-    rx_runs = sweep("rx")
+def record_metrics(grid):
+    m = {}
+    for (direction, size), run in grid.items():
+        per_record = run.cycles_per_record(size)
+        crypto = per_record.get("crypto", 0)
+        m[f"{direction}.record{size}.crypto_per_record"] = crypto
+        m[f"{direction}.record{size}.other_per_record"] = sum(per_record.values()) - crypto
+        m[f"{direction}.record{size}.crypto_fraction"] = run.crypto_fraction
+    return m
+
+
+def record_table(m, grid):
     table = Table(
         ["record", "dir", "crypto/rec", "other/rec", "crypto %", "paper %"],
         title="Figure 11: kTLS/iperf per-record cycles (software TLS)",
     )
-    shares = {}
-    for direction, runs in (("tx", tx_runs), ("rx", rx_runs)):
-        for size, run in zip(RECORD_SIZES, runs):
-            per_record = run.cycles_per_record(size)
-            crypto = per_record.get("crypto", 0)
-            other = sum(per_record.values()) - crypto
-            share = run.crypto_fraction
-            shares[(direction, size)] = share
-            paper = PAPER_SHARE[size][0 if direction == "tx" else 1]
-            table.row(f"{size // 1024}KiB", direction, crypto, other, f"{100 * share:.0f}%", f"{paper}%")
-    emit("fig11_tls_cycles", table.render())
+    for direction, size in grid:
+        key = f"{direction}.record{size}"
+        paper = PAPER_SHARE[size][0 if direction == "tx" else 1]
+        share = f"{100 * m[f'{key}.crypto_fraction']:.0f}%"
+        table.row(f"{size // 1024}KiB", direction, m[f"{key}.crypto_per_record"], m[f"{key}.other_per_record"], share,
+                  f"{paper}%")
+    return table.render()
 
+
+def record_check(grid):
     # Bigger records make crypto more dominant, in both directions.
     for direction in ("tx", "rx"):
-        series = [shares[(direction, s)] for s in RECORD_SIZES]
+        series = [grid[(direction, s)].crypto_fraction for s in RECORD_SIZES]
         assert series[-1] > series[0]
         assert series[-1] > 0.5
 
 
-def test_sec61_offload_gains(benchmark, emit):
-    def run_all():
-        # 8 streams: the single DUT core stays the bottleneck while the
-        # generator spreads the other side across its cores.
-        return {
-            "tx-sw": run_iperf("tls-sw", direction="tx", streams=8),
-            "tx-off": run_iperf("tls-offload", direction="tx", streams=8),
-            "rx-sw": run_iperf("tls-sw", direction="rx", streams=8),
-            "rx-off": run_iperf("tls-offload", direction="rx", streams=8),
-        }
+FIG11 = Figure(
+    "fig11_tls_cycles", product(("tx", "rx"), RECORD_SIZES), run_record, record_metrics, record_table, record_check
+)
 
-    runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    tx_gain = runs["tx-off"].goodput_gbps / runs["tx-sw"].goodput_gbps
-    rx_gain = runs["rx-off"].goodput_gbps / runs["rx-sw"].goodput_gbps
+
+def run_gain(point):
+    # 8 streams: the single DUT core stays the bottleneck while the
+    # generator spreads the other side across its cores.
+    direction, mode = point
+    return run_iperf(mode, direction=direction, streams=8)
+
+
+def gain_table(m, grid):
     table = Table(
         ["direction", "software Gbps", "offload Gbps", "gain", "paper"],
         title="§6.1: single-core iperf TLS offload improvement",
     )
-    table.row("transmit", runs["tx-sw"].goodput_gbps, runs["tx-off"].goodput_gbps, f"{tx_gain:.2f}x", "3.3x")
-    table.row("receive", runs["rx-sw"].goodput_gbps, runs["rx-off"].goodput_gbps, f"{rx_gain:.2f}x", "2.2x")
-    emit("sec61_offload_gains", table.render())
+    for direction, label, paper in (("tx", "transmit", "3.3x"), ("rx", "receive", "2.2x")):
+        sw, off = m[f"{direction}.tls-sw.goodput_gbps"], m[f"{direction}.tls-offload.goodput_gbps"]
+        table.row(label, sw, off, f"{off / sw:.2f}x", paper)
+    return table.render()
 
+
+def gain_check(grid):
+    tx_gain = grid[("tx", "tls-offload")].goodput_gbps / grid[("tx", "tls-sw")].goodput_gbps
+    rx_gain = grid[("rx", "tls-offload")].goodput_gbps / grid[("rx", "tls-sw")].goodput_gbps
     assert 2.0 <= tx_gain <= 4.5
     assert 1.5 <= rx_gain <= 3.5
     assert tx_gain > rx_gain  # transmit benefits more (paper's finding)
+
+
+SEC61 = Figure(
+    "sec61_offload_gains", product(("tx", "rx"), ("tls-sw", "tls-offload")), run_gain,
+    fields(".".join, "goodput_gbps"), gain_table, gain_check,
+)

@@ -2,66 +2,50 @@
 drive-bound).  (a) 1-core throughput, (b) 8-core throughput against the
 drive's ~21.4 Gbps ceiling, (c) busy cores at saturation."""
 
+from benchlib import Figure, app_metrics, busy_table, gain_table, product
 from repro.experiments.nginx_bench import run_nginx
-from repro.harness.report import Table, ratio_label
 
 SIZES = (16 * 1024, 64 * 1024, 256 * 1024)
 PAPER_1CORE = {16 * 1024: "+11%", 64 * 1024: "+26%", 256 * 1024: "+44%"}
+VARIANTS = ("baseline", "offload")
 
 
-def run_grid(cores):
-    out = {}
-    for size in SIZES:
-        for offload in (False, True):
-            out[(size, offload)] = run_nginx(
-                "http",
-                storage="c1",
-                file_size=size,
-                server_cores=cores,
-                connections=32,
-                nvme_offload=offload,
-                measure=8e-3,
-            )
-    return out
-
-
-def test_fig12_one_core(benchmark, emit):
-    grid = benchmark.pedantic(run_grid, args=(1,), rounds=1, iterations=1)
-    table = Table(
-        ["file", "baseline Gbps", "offload Gbps", "gain", "paper"],
-        title="Figure 12a: nginx + NVMe-TCP offload, C1, 1 core",
+def run_point(point):
+    cores, size, variant = point
+    return run_nginx(
+        "http",
+        storage="c1",
+        file_size=size,
+        server_cores=cores,
+        connections=32,
+        nvme_offload=variant == "offload",
+        measure=8e-3,
     )
-    gains = {}
-    for size in SIZES:
-        base, off = grid[(size, False)], grid[(size, True)]
-        gains[size] = off.goodput_gbps / base.goodput_gbps
-        table.row(
-            f"{size // 1024}KiB",
-            base.goodput_gbps,
-            off.goodput_gbps,
-            ratio_label(off.goodput_gbps, base.goodput_gbps),
-            PAPER_1CORE[size],
-        )
-    emit("fig12a_nginx_nvme_1core", table.render())
 
+
+def one_core_check(grid):
+    gains = {
+        size: grid[(1, size, "offload")].goodput_gbps / grid[(1, size, "baseline")].goodput_gbps
+        for size in SIZES
+    }
     # Offload wins, and the gain grows with file size (per-byte savings).
     assert all(g > 1.0 for g in gains.values())
     assert gains[256 * 1024] > gains[16 * 1024]
 
 
-def test_fig12_eight_cores(benchmark, emit):
-    grid = benchmark.pedantic(run_grid, args=(8,), rounds=1, iterations=1)
-    table = Table(
-        ["file", "baseline Gbps", "offload Gbps", "baseline busy", "offload busy"],
-        title="Figure 12b/c: nginx + NVMe-TCP offload, C1, 8 cores (drive-bound)",
-    )
-    for size in SIZES:
-        base, off = grid[(size, False)], grid[(size, True)]
-        table.row(f"{size // 1024}KiB", base.goodput_gbps, off.goodput_gbps, base.busy_cores, off.busy_cores)
-    emit("fig12bc_nginx_nvme_8core", table.render())
-
-    base, off = grid[(256 * 1024, False)], grid[(256 * 1024, True)]
+def eight_core_check(grid):
+    base, off = grid[(8, 256 * 1024, "baseline")], grid[(8, 256 * 1024, "offload")]
     # Both are capped by the drive (~21.4 Gbps)...
     assert base.goodput_gbps < 23 and off.goodput_gbps < 23
     # ...so the offload's benefit appears as reduced CPU (paper: -27%).
     assert off.busy_cores < base.busy_cores
+
+
+FIG12A = Figure(
+    "fig12a_nginx_nvme_1core", product((1,), SIZES, VARIANTS), run_point, app_metrics,
+    gain_table("Figure 12a: nginx + NVMe-TCP offload, C1, 1 core", "file", PAPER_1CORE), one_core_check,
+)
+FIG12BC = Figure(
+    "fig12bc_nginx_nvme_8core", product((8,), SIZES, VARIANTS), run_point, app_metrics,
+    busy_table("Figure 12b/c: nginx + NVMe-TCP offload, C1, 8 cores (drive-bound)", "file"), eight_core_check,
+)

@@ -4,73 +4,48 @@ The storage hop runs NVMe-TCP over TLS; the client hop runs https.
 Baseline: all software.  Offload: TLS offload + zc on the client hop,
 combined TLS+NVMe offload on the storage hop."""
 
+from benchlib import Figure, app_metrics, busy_table, gain_table, product
 from repro.experiments.nginx_bench import run_nginx
-from repro.harness.report import Table, ratio_label
 
 SIZES = (64 * 1024, 256 * 1024)
 PAPER_1CORE = {64 * 1024: "2.1x", 256 * 1024: "2.8x"}
+VARIANTS = {  # variant -> run_nginx arguments
+    "baseline": {"variant": "https", "storage_tls": "sw"},
+    "offload": {"variant": "offload+zc", "nvme_offload": True, "storage_tls": "offload"},
+}
 
 
-def run_grid(cores):
-    out = {}
-    for size in SIZES:
-        out[(size, "baseline")] = run_nginx(
-            "https",
-            storage="c1",
-            file_size=size,
-            server_cores=cores,
-            connections=32,
-            storage_tls="sw",
-            measure=8e-3,
-        )
-        out[(size, "offload")] = run_nginx(
-            "offload+zc",
-            storage="c1",
-            file_size=size,
-            server_cores=cores,
-            connections=32,
-            nvme_offload=True,
-            storage_tls="offload",
-            measure=8e-3,
-        )
-    return out
-
-
-def test_fig14_one_core(benchmark, emit):
-    grid = benchmark.pedantic(run_grid, args=(1,), rounds=1, iterations=1)
-    table = Table(
-        ["file", "baseline Gbps", "offload Gbps", "gain", "paper"],
-        title="Figure 14a: nginx + combined NVMe-TLS offload, C1, 1 core",
+def run_point(point):
+    cores, size, variant = point
+    return run_nginx(
+        storage="c1",
+        file_size=size,
+        server_cores=cores,
+        connections=32,
+        measure=8e-3,
+        **VARIANTS[variant],
     )
-    for size in SIZES:
-        base, off = grid[(size, "baseline")], grid[(size, "offload")]
-        table.row(
-            f"{size // 1024}KiB",
-            base.goodput_gbps,
-            off.goodput_gbps,
-            ratio_label(off.goodput_gbps, base.goodput_gbps),
-            PAPER_1CORE[size],
-        )
-    emit("fig14a_nginx_nvme_tls_1core", table.render())
 
+
+def one_core_check(grid):
     for size in SIZES:
-        assert grid[(size, "offload")].goodput_gbps > grid[(size, "baseline")].goodput_gbps * 1.5
+        assert grid[(1, size, "offload")].goodput_gbps > grid[(1, size, "baseline")].goodput_gbps * 1.5
     # Combined gains exceed the single-offload gains of Figure 12.
-    big = grid[(256 * 1024, "offload")].goodput_gbps / grid[(256 * 1024, "baseline")].goodput_gbps
+    big = grid[(1, 256 * 1024, "offload")].goodput_gbps / grid[(1, 256 * 1024, "baseline")].goodput_gbps
     assert big > 2.0
 
 
-def test_fig14_eight_cores(benchmark, emit):
-    grid = benchmark.pedantic(run_grid, args=(8,), rounds=1, iterations=1)
-    table = Table(
-        ["file", "baseline Gbps", "offload Gbps", "baseline busy", "offload busy"],
-        title="Figure 14b/c: combined NVMe-TLS offload, C1, 8 cores",
-    )
-    for size in SIZES:
-        base, off = grid[(size, "baseline")], grid[(size, "offload")]
-        table.row(f"{size // 1024}KiB", base.goodput_gbps, off.goodput_gbps, base.busy_cores, off.busy_cores)
-    emit("fig14bc_nginx_nvme_tls_8core", table.render())
-
-    base, off = grid[(256 * 1024, "baseline")], grid[(256 * 1024, "offload")]
+def eight_core_check(grid):
+    base, off = grid[(8, 256 * 1024, "baseline")], grid[(8, 256 * 1024, "offload")]
     # At the drive bound, the combined offload slashes CPU (paper: -41%).
     assert off.busy_cores < base.busy_cores
+
+
+FIG14A = Figure(
+    "fig14a_nginx_nvme_tls_1core", product((1,), SIZES, VARIANTS), run_point, app_metrics,
+    gain_table("Figure 14a: nginx + combined NVMe-TLS offload, C1, 1 core", "file", PAPER_1CORE), one_core_check,
+)
+FIG14BC = Figure(
+    "fig14bc_nginx_nvme_tls_8core", product((8,), SIZES, VARIANTS), run_point, app_metrics,
+    busy_table("Figure 14b/c: combined NVMe-TLS offload, C1, 8 cores", "file"), eight_core_check,
+)

@@ -2,12 +2,10 @@
 TLS offload, and software TLS (single sender core, many streams), plus
 the PCIe bandwidth the NIC spends reconstructing TX contexts."""
 
-from benchlib import QUICK, loss_pct
-from repro.exec import run_grid_dict
+from benchlib import Figure, axis, loss_pct, product
 from repro.experiments.iperf_tls import run_iperf
 from repro.harness.report import Table
 
-LOSS_POINTS = (0.0, 0.03) if QUICK else (0.0, 0.01, 0.03, 0.05)
 # 16 streams, scaled from the paper's 128: with our heavier (no-TSO)
 # per-byte costs, more sender streams than this on one core make the
 # self-paced send rotation exceed the RTO and collapse all variants.
@@ -28,40 +26,35 @@ def run_point(point):
     )
 
 
-def sweep():
-    points = [(loss, mode) for loss in LOSS_POINTS for mode in MODES]
-    return run_grid_dict(points, run_point)
+def metrics(grid):
+    m = {}
+    for loss in axis(grid):
+        off = grid[(loss, "tls-offload")]
+        key = loss_pct(loss)
+        m[f"{key}.tcp_gbps"] = grid[(loss, "tcp")].goodput_gbps
+        m[f"{key}.offload_gbps"] = off.goodput_gbps
+        m[f"{key}.sw_gbps"] = grid[(loss, "tls-sw")].goodput_gbps
+        m[f"{key}.pcie_recovery_frac"] = off.pcie_recovery_fraction
+        m[f"{key}.tx_recoveries"] = off.tx_recoveries
+    return m
 
 
-def test_fig16(benchmark, emit):
-    grid = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def table(m, grid):
     table = Table(
         ["loss %", "tcp Gbps", "offload Gbps", "sw tls Gbps", "off vs tls", "PCIe recovery %", "tx recoveries"],
         title=f"Figure 16: sender-side loss (1 core, {STREAMS} iperf streams)",
     )
-    metrics = {}
-    for loss in LOSS_POINTS:
-        tcp = grid[(loss, "tcp")].goodput_gbps
-        off = grid[(loss, "tls-offload")]
-        sw = grid[(loss, "tls-sw")].goodput_gbps
-        table.row(
-            f"{100 * loss:.0f}",
-            tcp,
-            off.goodput_gbps,
-            sw,
-            f"{off.goodput_gbps / sw:.2f}x",
-            f"{100 * off.pcie_recovery_fraction:.2f}%",
-            off.tx_recoveries,
-        )
+    for loss in axis(grid):
         key = loss_pct(loss)
-        metrics[f"{key}.tcp_gbps"] = tcp
-        metrics[f"{key}.offload_gbps"] = off.goodput_gbps
-        metrics[f"{key}.sw_gbps"] = sw
-        metrics[f"{key}.pcie_recovery_frac"] = off.pcie_recovery_fraction
-        metrics[f"{key}.tx_recoveries"] = off.tx_recoveries
-    emit("fig16_tx_loss", table.render(), metrics=metrics, meta={"streams": STREAMS})
+        off, sw = m[f"{key}.offload_gbps"], m[f"{key}.sw_gbps"]
+        pcie = f"{100 * m[f'{key}.pcie_recovery_frac']:.2f}%"
+        table.row(f"{100 * loss:.0f}", m[f"{key}.tcp_gbps"], off, sw, f"{off / sw:.2f}x", pcie,
+                  m[f"{key}.tx_recoveries"])
+    return table.render()
 
-    for loss in LOSS_POINTS:
+
+def check(grid):
+    for loss in axis(grid):
         tcp = grid[(loss, "tcp")].goodput_gbps
         off = grid[(loss, "tls-offload")].goodput_gbps
         sw = grid[(loss, "tls-sw")].goodput_gbps
@@ -72,10 +65,16 @@ def test_fig16(benchmark, emit):
         # ...and beats software TLS even at the worst loss (paper: >= 33%).
         assert off > sw
     # Loss hurts throughput.
-    worst_loss = LOSS_POINTS[-1]
+    worst_loss = axis(grid)[-1]
     assert grid[(worst_loss, "tcp")].goodput_gbps < grid[(0.0, "tcp")].goodput_gbps
     # Context recovery happens under loss but PCIe stays cheap (<2.5%).
     lossy = grid[(worst_loss, "tls-offload")]
     assert lossy.tx_recoveries > 0
     assert lossy.pcie_recovery_fraction < 0.025
     assert grid[(0.0, "tls-offload")].tx_recoveries == 0
+
+
+FIG16 = Figure(
+    "fig16_tx_loss", product((0.0, 0.01, 0.03, 0.05), MODES), run_point, metrics, table, check,
+    quick=product((0.0, 0.03), MODES), meta=lambda grid: {"streams": STREAMS},
+)

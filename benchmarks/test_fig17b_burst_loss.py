@@ -8,13 +8,11 @@ equal to Figure 17's points but clusters the drops (mean burst length
 6 packets) and reports throughput, record classification, and how often
 the NIC had to speculate."""
 
-from benchlib import QUICK, loss_pct
-from repro.exec import run_grid_dict
+from benchlib import KINDS, Figure, axis, loss_pct, product, record_mix
 from repro.experiments.iperf_tls import run_iperf
 from repro.faults import FaultPlan, GilbertElliott, LinkFaultProfile
 from repro.harness.report import Table
 
-LOSS_POINTS = (0.0, 0.03) if QUICK else (0.0, 0.01, 0.03, 0.05)
 BURST_LEN = 6  # mean bad-state residency, in packets
 STREAMS = 64
 MODES = ("tls-offload", "tls-sw")
@@ -40,18 +38,21 @@ def run_point(point):
     )
 
 
-def sweep():
-    points = [(loss, mode) for loss in LOSS_POINTS for mode in MODES]
-    return run_grid_dict(points, run_point)
+def metrics(grid):
+    m = {}
+    for loss in axis(grid):
+        off = grid[(loss, "tls-offload")]
+        cls = record_mix(off)
+        key = loss_pct(loss)
+        m[f"{key}.offload_gbps"] = off.goodput_gbps
+        m[f"{key}.sw_gbps"] = grid[(loss, "tls-sw")].goodput_gbps
+        for kind in KINDS:
+            m[f"{key}.{kind}_frac"] = cls[kind]
+        m[f"{key}.resyncs"] = off.resyncs
+    return m
 
 
-def classify(run):
-    total = max(1, sum(run.records.values()))
-    return {k: v / total for k, v in run.records.items()}
-
-
-def test_fig17b(benchmark, emit):
-    grid = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def table(m, grid):
     table = Table(
         ["mean loss %", "offload Gbps", "sw tls Gbps", "full %", "partial %", "none %", "resyncs"],
         title=(
@@ -59,45 +60,32 @@ def test_fig17b(benchmark, emit):
             f"1 receiver core, {STREAMS} streams)"
         ),
     )
-    metrics = {}
-    for loss in LOSS_POINTS:
-        off = grid[(loss, "tls-offload")]
-        cls = classify(off)
-        table.row(
-            f"{100 * loss:.0f}",
-            off.goodput_gbps,
-            grid[(loss, "tls-sw")].goodput_gbps,
-            f"{100 * cls['full']:.0f}%",
-            f"{100 * cls['partial']:.0f}%",
-            f"{100 * cls['none']:.0f}%",
-            off.resyncs,
-        )
+    for loss in axis(grid):
         key = loss_pct(loss)
-        metrics[f"{key}.offload_gbps"] = off.goodput_gbps
-        metrics[f"{key}.sw_gbps"] = grid[(loss, "tls-sw")].goodput_gbps
-        metrics[f"{key}.full_frac"] = cls["full"]
-        metrics[f"{key}.partial_frac"] = cls["partial"]
-        metrics[f"{key}.none_frac"] = cls["none"]
-        metrics[f"{key}.resyncs"] = off.resyncs
-    emit(
-        "fig17b_burst_loss",
-        table.render(),
-        metrics=metrics,
-        meta={"streams": STREAMS, "burst_len": BURST_LEN},
-    )
+        fracs = (f"{100 * m[f'{key}.{kind}_frac']:.0f}%" for kind in KINDS)
+        table.row(f"{100 * loss:.0f}", m[f"{key}.offload_gbps"], m[f"{key}.sw_gbps"], *fracs, m[f"{key}.resyncs"])
+    return table.render()
 
+
+def check(grid):
     # Burst-free: everything stays fully offloaded.
-    clean = classify(grid[(0.0, "tls-offload")])
+    clean = record_mix(grid[(0.0, "tls-offload")])
     assert clean["full"] > 0.99
     assert grid[(0.0, "tls-offload")].resyncs == 0
     # Bursts force speculation (uniform loss at these rates mostly does
     # not — that is the point of this variant) yet recovery still keeps
     # a solid share of records on the offload path.
-    worst = LOSS_POINTS[-1]
+    worst = axis(grid)[-1]
     assert grid[(worst, "tls-offload")].resyncs > 0
-    assert classify(grid[(worst, "tls-offload")])["full"] > 0.05
+    assert record_mix(grid[(worst, "tls-offload")])["full"] > 0.05
     # Offload still beats or matches software TLS across the sweep.
-    for loss in LOSS_POINTS:
+    for loss in axis(grid):
         off = grid[(loss, "tls-offload")].goodput_gbps
         sw = grid[(loss, "tls-sw")].goodput_gbps
         assert off > sw * (1.2 if loss <= 0.01 else 0.9)
+
+
+FIG17B = Figure(
+    "fig17b_burst_loss", product((0.0, 0.01, 0.03, 0.05), MODES), run_point, metrics, table, check,
+    quick=product((0.0, 0.03), MODES), meta=lambda grid: {"streams": STREAMS, "burst_len": BURST_LEN},
+)

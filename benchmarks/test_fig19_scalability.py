@@ -6,14 +6,10 @@ crosses the cache capacity the same way 64..128K connections cross the
 real 4 MiB / ~20K-flow cache.
 """
 
-from benchlib import QUICK
-from repro.exec import run_grid_dict
+from benchlib import Figure, axis, fields, product
 from repro.experiments.scalability import run_scale_point
 from repro.harness.report import Table
 
-# The quick sweep keeps both endpoints: the cache-overflow crossing is
-# the point of the experiment and needs the largest connection count.
-CONNECTIONS = (64, 2048) if QUICK else (64, 512, 2048)
 VARIANTS = ("https", "offload+zc", "http")
 
 
@@ -22,52 +18,34 @@ def run_point(point):
     return run_scale_point(conns, variant=variant, measure=8e-3)
 
 
-def sweep():
-    points = [(conns, variant) for conns in CONNECTIONS for variant in VARIANTS]
-    return run_grid_dict(points, run_point)
+def meta(grid):
+    return {"cache_capacity_flows": grid[(axis(grid)[0], "offload+zc")].cache_capacity_flows}
 
 
-def test_fig19(benchmark, emit):
-    grid = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    cache_flows = grid[(CONNECTIONS[0], "offload+zc")].cache_capacity_flows
+def table(m, grid):
     table = Table(
         ["conns", "variant", "Gbps", "busy cores", "rx batch", "ctx miss %"],
-        title=f"Figure 19: connection scaling (NIC cache ~{cache_flows} flows)",
+        title=f"Figure 19: connection scaling (NIC cache ~{meta(grid)['cache_capacity_flows']} flows)",
     )
-    metrics = {}
-    for conns in CONNECTIONS:
-        for variant in VARIANTS:
-            p = grid[(conns, variant)]
-            table.row(
-                conns,
-                variant,
-                p.goodput_gbps,
-                p.busy_cores,
-                p.mean_rx_batch,
-                f"{100 * p.cache_miss_rate:.1f}%",
-            )
-            key = f"c{conns}.{variant}"
-            metrics[f"{key}.gbps"] = p.goodput_gbps
-            metrics[f"{key}.busy_cores"] = p.busy_cores
-            metrics[f"{key}.rx_batch"] = p.mean_rx_batch
-            metrics[f"{key}.miss_rate"] = p.cache_miss_rate
-    emit(
-        "fig19_scalability",
-        table.render(),
-        metrics=metrics,
-        meta={"cache_capacity_flows": cache_flows},
-    )
+    for conns, variant in grid:
+        key = f"c{conns}.{variant}"
+        cells = (m[f"{key}.{col}"] for col in ("gbps", "busy_cores", "rx_batch"))
+        table.row(conns, variant, *cells, f"{100 * m[f'{key}.miss_rate']:.1f}%")
+    return table.render()
 
+
+def check(grid):
+    connections = axis(grid)
     # Offload keeps beating https at every connection count, even far
     # beyond the cache capacity (the paper's headline: no cliff).
-    for conns in CONNECTIONS:
+    for conns in connections:
         zc = grid[(conns, "offload+zc")].goodput_gbps
         https = grid[(conns, "https")].goodput_gbps
         assert zc > https * 1.3
     # The cache does overflow (misses appear once conns >> capacity)...
-    few = grid[(CONNECTIONS[0], "offload+zc")]
-    many = grid[(CONNECTIONS[-1], "offload+zc")]
-    assert CONNECTIONS[-1] > few.cache_capacity_flows
+    few = grid[(connections[0], "offload+zc")]
+    many = grid[(connections[-1], "offload+zc")]
+    assert connections[-1] > few.cache_capacity_flows
     assert many.cache_miss_rate > few.cache_miss_rate
     # ...yet throughput does not fall off a cliff (within 40% of the
     # small-count run), thanks to batching: only a batch's first packet
@@ -75,3 +53,14 @@ def test_fig19(benchmark, emit):
     assert many.goodput_gbps > 0.6 * few.goodput_gbps
     # Batching weakens as connections grow (paper: 48 -> 8 per batch).
     assert many.mean_rx_batch <= few.mean_rx_batch * 1.5
+
+
+FIG19 = Figure(
+    "fig19_scalability", product((64, 512, 2048), VARIANTS), run_point,
+    fields(lambda p: f"c{p[0]}.{p[1]}", "busy_cores", gbps="goodput_gbps", rx_batch="mean_rx_batch",
+           miss_rate="cache_miss_rate"),
+    table, check,
+    # The quick sweep keeps both endpoints: the cache-overflow crossing
+    # is the point of the experiment and needs the largest count.
+    quick=product((64, 2048), VARIANTS), meta=meta,
+)

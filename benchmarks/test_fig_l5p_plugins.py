@@ -22,47 +22,41 @@ argument made executable through the L5Protocol plugin registry:
 
 import random
 
-from benchlib import QUICK, loss_pct
-from repro.exec import run_grid_dict
+from benchlib import Figure, axis, loss_pct
 from repro.experiments.l5p_plugins import run_l5p_point
 from repro.harness.report import Table
 from repro.l5p import plugin
 
 SEED = 23
-LOSS_POINTS = (0.0, 0.02) if QUICK else (0.0, 0.01, 0.03)
-OPS = {"http2": 12, "resp": 16} if QUICK else {"http2": 48, "resp": 64}
-UNTIL = 1.0 if QUICK else 2.0
-
-FP_WINDOWS = 80_000 if QUICK else 300_000
 FP_SEED = 7
 
 
-def run_point(point):
-    proto, offload, loss = point
-    return run_l5p_point(
-        proto=proto, offload=offload, loss=loss, ops=OPS[proto], seed=SEED, until=UNTIL
-    )
-
-
-def sweep():
-    points = [
-        (proto, offload, loss)
+def points(losses, ops, until, fp_windows):
+    """Sweep points ``(proto, offload, loss, ops, until)``, then the FP study."""
+    return [
+        (proto, offload, loss, ops[proto], until)
         for proto in ("http2", "resp")
         for offload in (True, False)
-        for loss in LOSS_POINTS
-    ]
-    return run_grid_dict(points, run_point)
+        for loss in losses
+    ] + [("fp", fp_windows)]
 
 
-def false_positive_study():
+def run_point(point):
+    if point[0] == "fp":
+        return false_positive_study(point[1])
+    proto, offload, loss, ops, until = point
+    return run_l5p_point(proto=proto, offload=offload, loss=loss, ops=ops, seed=SEED, until=until)
+
+
+def false_positive_study(windows):
     """Slide seeded random windows past every registered protocol."""
     protos = plugin.registered()
     width = max(p.frame.magic_len for p in protos)
     rng = random.Random(FP_SEED)
-    data = rng.randbytes(FP_WINDOWS + width)
+    data = rng.randbytes(windows + width)
 
     scans = [(proto, proto.factory(), [0, 0]) for proto in protos]
-    for i in range(FP_WINDOWS):
+    for i in range(windows):
         for proto, adapter, hits in scans:
             window = data[i : i + proto.frame.magic_len]
             mask_hit = proto.frame.matches(window)
@@ -77,78 +71,91 @@ def false_positive_study():
     return {proto.name: tuple(hits) for proto, _, hits in scans}
 
 
-def test_fig_l5p_plugins(benchmark, emit):
-    grid, fp = benchmark.pedantic(
-        lambda: (sweep(), false_positive_study()), rounds=1, iterations=1
-    )
+def split(grid):
+    """``({(proto, offload, loss): run}, FP windows, {protocol: (mask hits, magic hits)})``."""
+    *sweep, fp = grid
+    return {p[:3]: grid[p] for p in sweep}, fp[1], grid[fp]
 
+
+def meta(grid):
+    sweep = list(grid)[:-1]
+    return {"seed": SEED, "loss_points": axis(sweep, 2), "ops": {p[0]: p[3] for p in sweep}}
+
+
+def metrics(grid):
+    runs, windows, fp = split(grid)
+    m = {}
+    for (proto, offload, loss), run in runs.items():
+        key = f"{proto}.{'off' if offload else 'sw'}.{loss_pct(loss)}"
+        m[f"{key}.completed"] = run.completed
+        m[f"{key}.offloaded_frac"] = run.offloaded_fraction
+        m[f"{key}.mcycles"] = sum(run.dut_cycles.values()) / 1e6
+        for stat in ("resync_requests", "resyncs_completed", "boundary_resyncs", "resync_failures"):
+            m[f"{key}.{stat}"] = run.nic_stats[stat]
+    for name, (mask_hits, magic_hits) in fp.items():
+        m[f"fp.{name}.mask_hits"] = mask_hits
+        m[f"fp.{name}.magic_hits"] = magic_hits
+    m["fp.windows"] = windows
+    return m
+
+
+def table(m, grid):
+    runs, windows, fp = split(grid)
     table = Table(
         ["protocol", "offload", "loss", "ops", "offloaded %", "Mcycles", "resyncs"],
-        title=(
-            "Plugin protocols: HTTP/2 frame placement and RESP inline "
-            f"steering (closed loop, seed {SEED})"
-        ),
+        title=f"Plugin protocols: HTTP/2 frame placement and RESP inline steering (closed loop, seed {SEED})",
     )
-    metrics = {}
-    for (proto, offload, loss), run in grid.items():
+    for proto, offload, loss in runs:
         mode = "off" if offload else "sw"
         key = f"{proto}.{mode}.{loss_pct(loss)}"
-        cycles = sum(run.dut_cycles.values())
-        table.row(
-            proto,
-            mode,
-            f"{100 * loss:.0f}%",
-            run.completed,
-            f"{100 * run.offloaded_fraction:.0f}%",
-            cycles / 1e6,
-            run.nic_stats["resyncs_completed"],
-        )
-        metrics[f"{key}.completed"] = run.completed
-        metrics[f"{key}.offloaded_frac"] = run.offloaded_fraction
-        metrics[f"{key}.mcycles"] = cycles / 1e6
-        metrics[f"{key}.resync_requests"] = run.nic_stats["resync_requests"]
-        metrics[f"{key}.resyncs_completed"] = run.nic_stats["resyncs_completed"]
-        metrics[f"{key}.boundary_resyncs"] = run.nic_stats["boundary_resyncs"]
-        metrics[f"{key}.resync_failures"] = run.nic_stats["resync_failures"]
-
+        offloaded = f"{100 * m[f'{key}.offloaded_frac']:.0f}%"
+        table.row(proto, mode, f"{100 * loss:.0f}%", m[f"{key}.completed"], offloaded, m[f"{key}.mcycles"],
+                  m[f"{key}.resyncs_completed"])
     fp_table = Table(
         ["protocol", "mask hits", "check_magic hits", "rate", "declared bound"],
-        title=f"Magic false positives over {FP_WINDOWS} random windows (seed {FP_SEED})",
+        title=f"Magic false positives over {windows} random windows (seed {FP_SEED})",
     )
-    for name, (mask_hits, magic_hits) in sorted(fp.items()):
+    for name in sorted(fp):
+        magic_hits = m[f"fp.{name}.magic_hits"]
+        rate = f"{magic_hits / windows:.2e}"
+        fp_table.row(name, m[f"fp.{name}.mask_hits"], magic_hits, rate, f"{plugin.get(name).confidence:.0e}")
+    return table.render() + "\n\n" + fp_table.render()
+
+
+def check(grid):
+    runs, windows, fp = split(grid)
+    ops = meta(grid)["ops"]
+    for name, (_, magic_hits) in sorted(fp.items()):
         bound = plugin.get(name).confidence
-        rate = magic_hits / FP_WINDOWS
-        fp_table.row(name, mask_hits, magic_hits, f"{rate:.2e}", f"{bound:.0e}")
-        metrics[f"fp.{name}.mask_hits"] = mask_hits
-        metrics[f"fp.{name}.magic_hits"] = magic_hits
+        rate = magic_hits / windows
         # The declared confidence is an upper bound on the measured rate.
         assert rate <= bound, f"{name}: measured FP rate {rate:.2e} exceeds bound {bound:.0e}"
-    metrics["fp.windows"] = FP_WINDOWS
-
-    emit(
-        "fig_l5p_plugins",
-        table.render() + "\n\n" + fp_table.render(),
-        metrics=metrics,
-        meta={"seed": SEED, "loss_points": list(LOSS_POINTS), "ops": OPS},
-    )
-
     # Offload engages fully on clean links and saves DUT cycles.
-    h2_off = grid[("http2", True, 0.0)]
-    h2_sw = grid[("http2", False, 0.0)]
-    assert h2_off.completed == OPS["http2"] and h2_sw.completed == OPS["http2"]
+    h2_off = runs[("http2", True, 0.0)]
+    h2_sw = runs[("http2", False, 0.0)]
+    assert h2_off.completed == ops["http2"] and h2_sw.completed == ops["http2"]
     assert h2_off.offloaded_fraction == 1.0
     assert sum(h2_off.dut_cycles.values()) < sum(h2_sw.dut_cycles.values())
-    resp_off = grid[("resp", True, 0.0)]
-    resp_sw = grid[("resp", False, 0.0)]
-    assert resp_off.completed == OPS["resp"] and resp_sw.completed == OPS["resp"]
+    resp_off = runs[("resp", True, 0.0)]
+    resp_sw = runs[("resp", False, 0.0)]
+    assert resp_off.completed == ops["resp"] and resp_sw.completed == ops["resp"]
     assert resp_off.offloaded_fraction >= 0.8
     assert sum(resp_off.dut_cycles.values()) < sum(resp_sw.dut_cycles.values())
     # The stress profile exercised the resync machinery (the lossy HTTP/2
     # points via dropped frames; RESP at least via the pipelined-on-the-
     # handshake install race) and never left a flow failed.
-    worst = max(LOSS_POINTS)
-    assert grid[("http2", True, worst)].nic_stats["resync_requests"] > 0
+    worst = max(loss for _, _, loss in runs)
+    assert runs[("http2", True, worst)].nic_stats["resync_requests"] > 0
     assert resp_off.nic_stats["resync_requests"] > 0
-    for run in grid.values():
+    for run in runs.values():
         assert run.nic_stats["resync_failures"] == 0
         assert run.completed > 0
+
+
+FIG_L5P_PLUGINS = Figure(
+    "fig_l5p_plugins",
+    points((0.0, 0.01, 0.03), {"http2": 48, "resp": 64}, until=2.0, fp_windows=300_000),
+    run_point, metrics, table, check,
+    quick=points((0.0, 0.02), {"http2": 12, "resp": 16}, until=1.0, fp_windows=80_000),
+    meta=meta,
+)

@@ -23,10 +23,10 @@ makes the claim measurable on the simulated testbed:
    TOE loses them.
 """
 
-from benchlib import QUICK
-from repro.exec import run_grid_dict
+from benchlib import Figure, product
 from repro.experiments.iperf_tls import run_iperf
 from repro.faults import FaultPlan, NicLifecycleProfile
+from repro.faults.chaos import TLS_CHUNKS, run_tls
 from repro.harness.report import Table
 
 SEED = 31
@@ -35,11 +35,17 @@ MEASURE = 8e-3
 # run_iperf scales its warm-up to absorb the serial TLS handshakes; the
 # hang windows below must land inside the measure window, so mirror it.
 WARMUP = 4e-3 + 1.3 * STREAMS * 320_000 / 2.0e9
-RESET_POINTS = (0, 2) if QUICK else (0, 1, 2, 4)
 
 SURVIVAL_CONNS = 8
-SURVIVAL_CHUNKS = 24  # 4 KiB chunks per connection
+SURVIVAL_CHUNKS = max(8, TLS_CHUNKS // SURVIVAL_CONNS)  # run_tls's 4 KiB chunks per connection
 SURVIVAL_WINDOW = ((6e-4, 6.5e-4),)  # mid-transfer at chaos-testbed scale
+PERSONALITIES = ("autonomous", "toe")
+
+
+def points(reset_points):
+    # (tls-offload, None) is unarmed: the 0.0%-deviation ref; (tls-sw, 0)
+    # the software TLS reference; then the two survival personalities.
+    return product(("tls-offload",), (*reset_points, None)) + [("tls-sw", 0), *product(("survival",), PERSONALITIES)]
 
 
 def reset_plan(resets: int) -> FaultPlan:
@@ -56,8 +62,12 @@ def reset_plan(resets: int) -> FaultPlan:
 
 
 def run_point(point):
-    mode, resets = point
-    faults = None if resets is None else reset_plan(resets)
+    mode, arg = point
+    if mode == "survival":
+        # SURVIVAL_CONNS concurrent TLS connections, one mid-transfer NIC
+        # reset on the DUT (receiver), every chunk content-verified.
+        plan = FaultPlan(lifecycle=NicLifecycleProfile(hang_windows=SURVIVAL_WINDOW, personality=arg))
+        return run_tls(SEED, plan, 15e-3, connections=SURVIVAL_CONNS)
     return run_iperf(
         mode,
         direction="tx",
@@ -65,81 +75,35 @@ def run_point(point):
         warmup=4e-3,
         measure=MEASURE,
         seed=SEED,
-        faults=faults,
+        faults=None if arg is None else reset_plan(arg),
     )
 
 
-def sweep():
-    points = [("tls-offload", n) for n in RESET_POINTS]
-    points.append(("tls-offload", None))  # unarmed: the 0.0%-deviation ref
-    points.append(("tls-sw", 0))  # software TLS reference
-    return run_grid_dict(points, run_point)
+def reset_points(grid):
+    return [n for mode, n in grid if mode == "tls-offload" and n is not None]
 
 
-def survival(personality: str) -> dict:
-    """SURVIVAL_CONNS concurrent TLS connections, one mid-transfer NIC
-    reset on the DUT (receiver): count connections that complete with
-    every chunk content-verified."""
-    from repro.faults.chaos import chunk_bytes
-    from repro.harness.testbed import Testbed, TestbedConfig
-    from repro.l5p.tls import KtlsSocket, TlsConfig
-
-    plan = FaultPlan(
-        lifecycle=NicLifecycleProfile(hang_windows=SURVIVAL_WINDOW, personality=personality)
-    )
-    tb = Testbed(TestbedConfig(seed=SEED, server_cores=2, generator_cores=4, faults=plan))
-    verified = [0] * SURVIVAL_CONNS
-    mismatches = [0]
-    accepted = [0]
-
-    def on_accept(conn):
-        idx = accepted[0]
-        accepted[0] += 1
-        tls = KtlsSocket(tb.server, conn, "server", TlsConfig(rx_offload=True, record_size=4096))
-        buf = bytearray()
-
-        def on_data(data, idx=idx, buf=buf):
-            buf.extend(data)
-            while len(buf) >= 4096:
-                chunk = bytes(buf[:4096])
-                del buf[:4096]
-                if chunk == chunk_bytes(verified[idx]):
-                    verified[idx] += 1
-                else:
-                    mismatches[0] += 1
-
-        tls.on_data = on_data
-        tls.on_error = lambda reason: None
-
-    tb.server.tcp.listen(443, on_accept)
-    for _ in range(SURVIVAL_CONNS):
-        conn = tb.generator.tcp.connect("server", 443)
-        client = KtlsSocket(
-            tb.generator, conn, "client", TlsConfig(tx_offload=True, record_size=4096)
-        )
-        sent = [0]
-
-        def feed(client=client, sent=sent):
-            while sent[0] < SURVIVAL_CHUNKS:
-                if client.send(chunk_bytes(sent[0])) == 0:
-                    return
-                sent[0] += 1
-
-        client.on_ready = feed
-        client.on_writable = feed
-    tb.run(until=15e-3)
-    life = tb.server.nic.lifecycle
-    return {
-        "survivors": sum(1 for v in verified if v == SURVIVAL_CHUNKS),
-        "mismatches": mismatches[0],
-        "resets": life.resets,
-        "connections_lost": life.toe_connections_lost,
-    }
+def survivors(run):
+    """Connections that completed with every chunk content-verified."""
+    return sum(1 for v in run["conn_verified"] if v == SURVIVAL_CHUNKS)
 
 
-def test_fig_reset_recovery(benchmark, emit):
-    grid = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def metrics(grid):
+    m = {}
+    for n in reset_points(grid):
+        run = grid[("tls-offload", n)]
+        m[f"resets{n}.goodput_gbps"] = run.goodput_gbps
+        m[f"resets{n}.crypto_frac"] = run.crypto_fraction
+        m[f"resets{n}.nic_resets"] = run.lifecycle.get("resets", 0)
+        m[f"resets{n}.reinstalls"] = run.lifecycle.get("reinstalls", 0)
+    m["sw.goodput_gbps"] = grid[("tls-sw", 0)].goodput_gbps
+    for personality in PERSONALITIES:
+        m[f"survivors.{personality}"] = survivors(grid[("survival", personality)])
+    m["survivors.toe_lost"] = grid[("survival", "toe")]["lifecycle"]["toe_connections_lost"]
+    return m
 
+
+def table(m, grid):
     table = Table(
         ["resets / measure", "goodput Gbps", "crypto %", "reinstalls", "fallback pkts"],
         title=(
@@ -147,27 +111,11 @@ def test_fig_reset_recovery(benchmark, emit):
             f"(tx offload, 1 sender core, {STREAMS} streams, {MEASURE * 1e3:.0f} ms window)"
         ),
     )
-    metrics = {}
-    for n in RESET_POINTS:
-        run = grid[("tls-offload", n)]
-        life = run.lifecycle
-        table.row(
-            str(n),
-            run.goodput_gbps,
-            f"{100 * run.crypto_fraction:.0f}%",
-            life.get("reinstalls", 0),
-            life.get("fallback_tx_pkts", 0),
-        )
-        metrics[f"resets{n}.goodput_gbps"] = run.goodput_gbps
-        metrics[f"resets{n}.crypto_frac"] = run.crypto_fraction
-        metrics[f"resets{n}.nic_resets"] = life.get("resets", 0)
-        metrics[f"resets{n}.reinstalls"] = life.get("reinstalls", 0)
-    sw = grid[("tls-sw", 0)]
-    table.row("sw tls (ref)", sw.goodput_gbps, "-", "-", "-")
-    metrics["sw.goodput_gbps"] = sw.goodput_gbps
-
-    autonomous = survival("autonomous")
-    toe = survival("toe")
+    for n in reset_points(grid):
+        fallback = grid[("tls-offload", n)].lifecycle.get("fallback_tx_pkts", 0)
+        crypto = f"{100 * m[f'resets{n}.crypto_frac']:.0f}%"
+        table.row(str(n), m[f"resets{n}.goodput_gbps"], crypto, m[f"resets{n}.reinstalls"], fallback)
+    table.row("sw tls (ref)", m["sw.goodput_gbps"], "-", "-", "-")
     surv = Table(
         ["personality", "connections", "surviving a reset", "lost"],
         title=(
@@ -175,22 +123,15 @@ def test_fig_reset_recovery(benchmark, emit):
             f"({SURVIVAL_CONNS} TLS connections, content-verified)"
         ),
     )
-    surv.row("autonomous", SURVIVAL_CONNS, autonomous["survivors"], 0)
-    surv.row("toe (full TCP offload)", SURVIVAL_CONNS, toe["survivors"], toe["connections_lost"])
-    metrics["survivors.autonomous"] = autonomous["survivors"]
-    metrics["survivors.toe"] = toe["survivors"]
-    metrics["survivors.toe_lost"] = toe["connections_lost"]
+    surv.row("autonomous", SURVIVAL_CONNS, m["survivors.autonomous"], 0)
+    surv.row("toe (full TCP offload)", SURVIVAL_CONNS, m["survivors.toe"], m["survivors.toe_lost"])
+    return table.render() + "\n\n" + surv.render()
 
-    emit(
-        "fig_reset_recovery",
-        table.render() + "\n\n" + surv.render(),
-        metrics=metrics,
-        meta={"streams": STREAMS, "reset_points": list(RESET_POINTS), "seed": SEED},
-    )
 
+def check(grid):
     # Every scripted reset fired and recovered (the sweep is what it
     # claims to be), and recovery re-installed contexts.
-    for n in RESET_POINTS:
+    for n in reset_points(grid):
         life = grid[("tls-offload", n)].lifecycle
         assert life.get("resets", 0) == n
         if n:
@@ -207,17 +148,25 @@ def test_fig_reset_recovery(benchmark, emit):
     assert armed_idle.crypto_fraction == 0.0
     # Each added reset costs goodput (the software shadow carries the
     # outage) and raises the crypto cycle share — strictly monotone.
-    runs = [grid[("tls-offload", n)] for n in RESET_POINTS]
+    runs = [grid[("tls-offload", n)] for n in reset_points(grid)]
     for prev, cur in zip(runs, runs[1:]):
         assert cur.goodput_gbps < prev.goodput_gbps
         assert cur.crypto_fraction > prev.crypto_fraction
     # But the offload comes back after every reset: even the worst point
     # clears the all-software reference by a wide margin.
-    assert runs[-1].goodput_gbps > sw.goodput_gbps
+    assert runs[-1].goodput_gbps > grid[("tls-sw", 0)].goodput_gbps
     # The survival contrast: autonomy loses nothing, TOE loses flows.
-    assert autonomous["resets"] == 1 and toe["resets"] == 1
-    assert autonomous["survivors"] == SURVIVAL_CONNS
+    autonomous, toe = grid[("survival", "autonomous")], grid[("survival", "toe")]
+    assert autonomous["lifecycle"]["resets"] == 1 and toe["lifecycle"]["resets"] == 1
+    assert autonomous["sanitizer_violations"] == 0 and toe["sanitizer_violations"] == 0
+    assert survivors(autonomous) == SURVIVAL_CONNS
     assert autonomous["mismatches"] == 0
-    assert autonomous["connections_lost"] == 0
-    assert toe["connections_lost"] > 0
-    assert toe["survivors"] < SURVIVAL_CONNS
+    assert autonomous["lifecycle"]["toe_connections_lost"] == 0
+    assert toe["lifecycle"]["toe_connections_lost"] > 0
+    assert survivors(toe) < SURVIVAL_CONNS
+
+
+FIG_RESET_RECOVERY = Figure(
+    "fig_reset_recovery", points((0, 1, 2, 4)), run_point, metrics, table, check, quick=points((0, 2)),
+    meta=lambda grid: {"streams": STREAMS, "reset_points": reset_points(grid), "seed": SEED},
+)

@@ -164,6 +164,8 @@ def run_tls(seed: int, plan: FaultPlan, duration: float, connections: int = 1) -
     pairs (each with its own chunk sequence and verifier); the chunk
     budget is split across them, so elevated flow counts stress the
     context cache and flow tables rather than multiplying runtime.
+    ``conn_verified`` counts the verified chunks of each accepted
+    connection, in accept order.
     """
     from repro.l5p.tls import KtlsSocket, TlsConfig
 
@@ -173,6 +175,7 @@ def run_tls(seed: int, plan: FaultPlan, duration: float, connections: int = 1) -
         "seed": seed,
         "sent": 0,
         "verified": 0,
+        "conn_verified": [],
         "skipped": 0,
         "mismatches": 0,
         "detected_errors": 0,
@@ -189,6 +192,8 @@ def run_tls(seed: int, plan: FaultPlan, duration: float, connections: int = 1) -
         tls = KtlsSocket(tb.server, conn, "server", TlsConfig(rx_offload=True, record_size=CHUNK))
         rx_buf = bytearray()
         last_idx = [-1]
+        slot = len(state["conn_verified"])
+        state["conn_verified"].append(0)
 
         def on_data(data: bytes) -> None:
             rx_buf.extend(data)
@@ -202,6 +207,7 @@ def run_tls(seed: int, plan: FaultPlan, duration: float, connections: int = 1) -
                 state["skipped"] += k - last_idx[0] - 1
                 last_idx[0] = k
                 state["verified"] += 1
+                state["conn_verified"][slot] += 1
 
         tls.on_data = on_data
         tls.on_error = count_error

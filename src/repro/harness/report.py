@@ -2,7 +2,7 @@
 
 Every benchmark prints the same rows/series its paper figure or table
 shows; these helpers keep that output uniform and readable in the
-pytest-benchmark logs.
+benchmark logs and ``benchmarks/out/*.txt``.
 """
 
 from __future__ import annotations

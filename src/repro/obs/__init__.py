@@ -8,11 +8,11 @@ reproduction keeps itself honest about it.  Three pieces:
   ``sim.obs`` and wired through the NIC datapath, the TCP stack, and
   the L5P adapters.  ``None`` (the default) means every instrumentation
   site is a single pointer check — no overhead when off.
-- ``repro.obs.bench``: the ``benchmarks/out/<name>.json`` dual-emit
-  schema next to each figure's human-readable table.
+- ``repro.obs.bench``: the ``benchmarks/out/<name>.json`` metrics
+  schema written next to each figure's human-readable table.
 - ``repro.obs.regress``: the CI perf gate — ``python -m
   repro.obs.regress`` diffs a run against ``benchmarks/baseline.json``
-  with per-metric tolerances.
+  at exact equality.
 """
 
 from repro.obs.bench import bench_record, load_bench_json, write_bench_json

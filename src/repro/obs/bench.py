@@ -1,10 +1,11 @@
 """Machine-readable benchmark output.
 
-Every benchmark that reproduces a paper figure dual-emits: the
-human-readable table text (unchanged) and a ``benchmarks/out/<name>.json``
-file with named scalar series, via :func:`write_bench_json`.  The JSON
-is what ``python -m repro.obs.regress`` diffs against
-``benchmarks/baseline.json``.
+Every paper output the benchmark suite declares (a ``Figure`` in
+``benchmarks/benchlib.py``) is written twice from the same metrics: the
+human-readable table as ``benchmarks/out/<name>.txt`` and the metrics
+as ``benchmarks/out/<name>.json``, via :func:`write_bench_json`.  The
+JSON is what ``python -m repro.obs.regress`` compares, at exact
+equality, with ``benchmarks/baseline.json``.
 
 Schema (version 1)::
 

@@ -2,30 +2,22 @@
 
     python -m repro.obs.regress \
         --baseline benchmarks/baseline.json \
-        --out benchmarks/out --tolerance 0.15
+        --out benchmarks/out --require '*_quick'
 
-The baseline maps benchmark names to their expected flat metrics (the
-simulation is deterministic per seed, so expectations are exact numbers)
-plus optional per-benchmark / per-metric tolerance overrides::
+The baseline maps benchmark names to their expected flat metrics::
 
     {
       "schema": 1,
-      "tolerance": 0.15,
       "benchmarks": {
-        "fig16_tx_loss": {
-          "metrics": {"loss0.tcp_gbps": 6.35, ...},
-          "tolerance": 0.10,                       # optional
-          "metric_tolerance": {"loss5.tx_recoveries": 0.3}
-        }
+        "fig16_tx_loss": {"metrics": {"loss0.tcp_gbps": 6.35, ...}}
       }
     }
 
-A metric regresses when its relative deviation from baseline exceeds the
-effective tolerance (most specific wins: metric > benchmark > CLI/file
-default).  Zero-baseline metrics must stay zero — "no TX recoveries at
-zero loss" is itself an invariant worth gating.  Baseline entries whose
-run output is absent are skipped (CI gates run a subset), but comparing
-*nothing* is an error, not a pass.
+The simulation is deterministic per seed, so the comparison is exact: a
+metric regresses when its value differs from the baseline's at all, or
+when the run no longer reports it.  Baseline entries whose run output is
+absent are skipped (CI gates run a subset), except those named by a
+``--require`` glob; comparing *nothing* is an error, not a pass.
 
 Exit codes: 0 ok, 1 regression, 2 usage/IO/nothing-compared.
 """
@@ -33,6 +25,7 @@ Exit codes: 0 ok, 1 regression, 2 usage/IO/nothing-compared.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import os
 import sys
@@ -50,13 +43,11 @@ class Deviation:
     benchmark: str
     metric: str
     baseline: float
-    actual: float
-    ratio: float  # relative deviation |actual-baseline| / |baseline|
-    tolerance: float
+    actual: Optional[float]  # None: the run no longer reports the metric
 
     @property
     def failed(self) -> bool:
-        return self.ratio > self.tolerance
+        return self.actual != self.baseline
 
 
 def load_baseline(path: str) -> dict:
@@ -69,100 +60,56 @@ def load_baseline(path: str) -> dict:
     return baseline
 
 
-def compare_metrics(
-    name: str,
-    expected: dict,
-    actual: dict,
-    tolerance: float,
-    metric_tolerance: Optional[dict] = None,
-) -> list[Deviation]:
+def compare_metrics(name: str, expected: dict, actual: dict) -> list[Deviation]:
     """Compare one benchmark's metrics; returns every comparison made."""
-    metric_tolerance = metric_tolerance or {}
-    deviations = []
-    for metric, base in sorted(expected.items()):
-        tol = float(metric_tolerance.get(metric, tolerance))
-        if metric not in actual:
-            # A metric the run no longer reports is a regression of the
-            # reporting contract itself.
-            deviations.append(Deviation(name, metric, base, float("nan"), float("inf"), tol))
-            continue
-        value = actual[metric]
-        if base == 0:
-            ratio = 0.0 if value == 0 else float("inf")
-        else:
-            ratio = abs(value - base) / abs(base)
-        deviations.append(Deviation(name, metric, base, value, ratio, tol))
-    return deviations
+    return [Deviation(name, metric, base, actual.get(metric)) for metric, base in sorted(expected.items())]
 
 
 def run_regression(
-    baseline_path: str,
-    out_dir: str,
-    tolerance: Optional[float] = None,
-    require: Optional[list[str]] = None,
+    baseline_path: str, out_dir: str, require: Optional[list[str]] = None
 ) -> tuple[list[Deviation], list[str]]:
     """Compare every baseline benchmark with an emitted JSON record.
 
-    Returns ``(deviations, skipped)``; raises ``FileNotFoundError`` if a
-    benchmark in ``require`` has no run output.
+    Returns ``(deviations, skipped)``.  Each ``require`` entry is a glob
+    over baseline names; raises ``ValueError`` if one matches none, and
+    ``FileNotFoundError`` if a benchmark it matches has no run output.
     """
-    baseline = load_baseline(baseline_path)
-    default_tol = tolerance if tolerance is not None else float(baseline.get("tolerance", 0.15))
+    names = sorted(load_baseline(baseline_path)["benchmarks"].items())
+    for pattern in require or ():
+        if not fnmatch.filter((name for name, _ in names), pattern):
+            raise ValueError(f"--require {pattern!r} matches no baseline benchmark")
     deviations: list[Deviation] = []
     skipped: list[str] = []
-    for name, entry in sorted(baseline["benchmarks"].items()):
+    for name, entry in names:
         out_path = os.path.join(out_dir, f"{name}.json")
         if not os.path.exists(out_path):
-            if require and name in require:
+            if any(fnmatch.fnmatchcase(name, pattern) for pattern in require or ()):
                 raise FileNotFoundError(f"required benchmark {name!r} has no output at {out_path}")
             skipped.append(name)
             continue
         record = load_bench_json(out_path)
-        bench_tol = float(entry.get("tolerance", default_tol))
-        deviations.extend(
-            compare_metrics(
-                name,
-                entry.get("metrics", {}),
-                record["metrics"],
-                bench_tol,
-                entry.get("metric_tolerance"),
-            )
-        )
+        deviations.extend(compare_metrics(name, entry.get("metrics", {}), record["metrics"]))
     return deviations, skipped
 
 
 def render_report(deviations: list[Deviation], skipped: list[str]) -> str:
     lines = []
-    failures = [d for d in deviations if d.failed]
     by_bench: dict[str, list[Deviation]] = {}
     for d in deviations:
         by_bench.setdefault(d.benchmark, []).append(d)
     for bench, devs in sorted(by_bench.items()):
-        worst = max(devs, key=lambda d: d.ratio if d.ratio != float("inf") else 1e18)
-        status = "FAIL" if any(d.failed for d in devs) else "ok"
-        lines.append(
-            f"[{status:4}] {bench}: {len(devs)} metrics, worst {worst.metric} "
-            f"dev={_pct(worst.ratio)} (tol {_pct(worst.tolerance)})"
-        )
-        for d in devs:
-            if d.failed:
-                lines.append(
-                    f"       - {d.metric}: baseline={d.baseline:g} actual={d.actual:g} "
-                    f"dev={_pct(d.ratio)} > tol={_pct(d.tolerance)}"
-                )
+        failed = [d for d in devs if d.failed]
+        lines.append(f"[{'FAIL' if failed else 'ok':4}] {bench}: {len(devs)} metrics, {len(failed)} differ")
+        for d in failed:
+            actual = "missing" if d.actual is None else f"{d.actual!r}"
+            lines.append(f"       - {d.metric}: baseline={d.baseline!r} actual={actual}")
     for name in skipped:
         lines.append(f"[skip] {name}: no run output")
     lines.append(
         f"{len(deviations)} metrics compared across {len(by_bench)} benchmarks; "
-        f"{len(failures)} regressed, {len(skipped)} skipped"
+        f"{sum(d.failed for d in deviations)} regressed, {len(skipped)} skipped"
     )
     return "\n".join(lines)
-
-
-def _pct(ratio: float) -> str:
-    if ratio == float("inf"):
-        return "inf"
-    return f"{100 * ratio:.1f}%"
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -173,21 +120,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--baseline", default=DEFAULT_BASELINE, help="baseline JSON path")
     parser.add_argument("--out", default=DEFAULT_OUT_DIR, help="directory of emitted <name>.json runs")
     parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="default relative tolerance (overrides the baseline file's)",
-    )
-    parser.add_argument(
         "--require",
         action="append",
         default=None,
-        metavar="NAME",
-        help="benchmark that must be present in the run output (repeatable)",
+        metavar="GLOB",
+        help="baseline benchmarks that must be present in the run output (repeatable glob)",
     )
     args = parser.parse_args(argv)
     try:
-        deviations, skipped = run_regression(args.baseline, args.out, args.tolerance, args.require)
+        deviations, skipped = run_regression(args.baseline, args.out, args.require)
     except (OSError, ValueError) as exc:
         print(f"regress: {exc}", file=sys.stderr)
         return 2

@@ -63,6 +63,9 @@ class TestChaosConnections:
         assert result["verified"] > 0
         assert result["mismatches"] == 0
         assert result["sanitizer_violations"] == 0
+        # One verified count per accepted connection, summing to the total.
+        assert len(result["conn_verified"]) == 8
+        assert sum(result["conn_verified"]) == result["verified"]
 
     def test_default_summary_has_no_connections_key(self):
         from repro.faults.chaos import chaos_point
