@@ -12,7 +12,10 @@ markdown links.  Both rot silently; this tool makes the rot loud:
 
 Run with ``python -m repro.analysis.doccheck [files...]`` (default:
 ``*.md`` at the repo root — except ``CHANGES.md`` and ``ISSUE.md``,
-which name deleted and not-yet-written files by design — plus ``docs/``).  Exit status mirrors
+which name deleted and not-yet-written files by design — plus ``docs/``).
+Every other target, ``ROADMAP.md`` included, names a file that is not
+written yet without its repo-root path (``test_x.py`` in ``benchmarks/``),
+so only real files carry a checked anchor.  Exit status mirrors
 ``repro.analysis.lint``: 0 clean, 1 findings, 2 usage error.
 """
 

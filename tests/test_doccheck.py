@@ -80,10 +80,12 @@ class TestCli:
     def test_default_targets_cover_root_and_docs(self, tmp_path):
         write_md(tmp_path, "README.md", "hello\n")
         write_md(tmp_path, "docs/guide.md", "hello\n")
+        write_md(tmp_path, "ROADMAP.md", "hello\n")  # the to-do list is checked too
         write_md(tmp_path, "CHANGES.md", "PR 1 added `src/long_gone.py`.\n")  # history names deleted files
         targets = default_targets(tmp_path)
         assert tmp_path / "README.md" in targets
         assert tmp_path / "docs" in targets
+        assert tmp_path / "ROADMAP.md" in targets
         assert tmp_path / "CHANGES.md" not in targets
 
     def test_real_docs_are_clean(self, capsys):
