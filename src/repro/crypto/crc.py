@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import zlib
-from typing import Callable
 
 CRC32C_POLY = 0x82F63B78  # Castagnoli, reflected
 CRC32_POLY = 0xEDB88320  # IEEE 802.3, reflected
@@ -61,19 +60,6 @@ def _crc_bytewise(table: list[int], data: bytes, crc: int) -> int:
     for byte in data:  # sim: noqa[SIM013] - reference implementation
         crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFF
-
-
-_ODD_PARITY = bytes(bin(b).count("1") & 1 for b in range(256))
-
-
-def _odd_bytes(v: int) -> int:
-    """Number of odd-parity bytes of ``v`` >= 0: as odd as its popcount,
-    which is all the matrix product reads.  Stands in for
-    ``int.bit_count`` (Python 3.10+) on older interpreters."""
-    return v.to_bytes((v.bit_length() + 7) >> 3, "little").translate(_ODD_PARITY).count(1)
-
-
-_popcount: Callable[[int], int] = getattr(int, "bit_count", None) or _odd_bytes
 
 
 def _combine(vectors: list[int], v: int) -> int:
@@ -137,7 +123,7 @@ def _crc_block(data: bytes, state: int) -> int:
     x = prefix << 8 * len(data) | int.from_bytes(data, "big")
     crc = 0
     for bit, mask in enumerate(masks):
-        crc |= (_popcount(x & mask) & 1) << bit
+        crc |= ((x & mask).bit_count() & 1) << bit
     return crc
 
 

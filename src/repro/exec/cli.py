@@ -17,6 +17,7 @@ Registered experiments::
     mix     repro.experiments.scale_mix.run_mix_point (fig 19 XL)
     nginx   repro.experiments.nginx_bench.run_nginx   (figs 12-14)
     chaos   repro.faults.chaos.chaos_point            (fault soaks)
+    l5p     repro.experiments.l5p_plugins.run_l5p_point  (plugin protocols)
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ Split in two halves:
 - :mod:`repro.faults.inject` — the stateful injectors and packet
   mutators that implement the wire half.
 
-``python -m repro.faults.chaos`` runs multi-seed TLS / NVMe-TCP soaks
-under randomized fault mixes with the runtime sanitizer enabled,
-asserting end-to-end byte-stream / CRC integrity.
+:func:`repro.faults.chaos.chaos_point` runs one seeded TLS / NVMe-TCP
+soak point under a randomized fault mix with the runtime sanitizer
+enabled, verifying end-to-end byte-stream / CRC integrity; the
+``chaos_soak`` benchmark figure gates the multi-seed grid.
 """
 
 from repro.faults.inject import LinkFaultInjector, corrupting_link, flip_payload_byte

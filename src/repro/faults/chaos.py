@@ -1,8 +1,8 @@
-"""Multi-seed chaos soak: TLS and NVMe-TCP under randomized fault mixes.
+"""Chaos soak points: TLS and NVMe-TCP under randomized fault mixes.
 
-``python -m repro.faults.chaos`` drives both L5P workloads on the §6
-testbed with combined burst-loss, corruption, jitter, and NIC-fault
-plans, the runtime invariant sanitizer enabled, and end-to-end content
+:func:`chaos_point` drives one L5P workload on the §6 testbed with
+combined burst-loss, corruption, jitter, and NIC-fault plans, the
+runtime invariant sanitizer enabled, and end-to-end content
 verification:
 
 - **TLS**: the generator streams fixed-size self-describing chunks (one
@@ -20,18 +20,17 @@ sanitizer invariant violation — detected errors are the expected product
 of fault injection.  One deterministic "heavy" scenario (all resync
 responses dropped, give-up threshold 1) guarantees the §5.3 auto-disable
 path fires and is observable via the ``driver.offload.auto_disabled``
-counter.  Identical seeds produce identical summaries.
+counter, and a "storm" scenario scripts NIC resets mid-transfer.
+Identical arguments produce identical summaries.
+
+``benchmarks/test_chaos_soak.py`` runs the soak grid as a gated figure;
+``python -m repro.exec chaos --vary seed=1,2,3`` runs ad-hoc points.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import random
-import sys
-import time  # wall-clock --max-seconds deadline guard (CI wedge detector)
-from typing import Optional
 
 from repro.analysis import sanitizer
 from repro.faults.plan import (
@@ -75,7 +74,7 @@ RESET_STORM_PLAN = FaultPlan(
     ),
 )
 
-#: Trace events kept per failing run for the CI crash-report artifact.
+#: Trace events kept per failing run, for the soak's failure message.
 TRACE_TAIL = 50
 
 
@@ -115,7 +114,7 @@ def random_plan(rng: random.Random) -> FaultPlan:
 
 
 def _testbed(seed: int, plan: FaultPlan) -> Testbed:
-    # trace=True feeds the crash-report artifact's last-N event tail; the
+    # trace=True feeds a failing run's last-N event tail; the
     # tracer only appends to a list, so metrics and determinism are
     # unchanged (the determinism test compares full summaries).
     return Testbed(
@@ -150,7 +149,7 @@ def _summarize(tb: Testbed, state: dict) -> dict:
     if lifecycle is not None and lifecycle.armed:
         state["lifecycle"] = lifecycle.stats()
     if state["mismatches"] or state["sanitizer_violations"]:
-        # Failing run: keep the event-trace tail for the crash report.
+        # Failing run: keep the event-trace tail for the failure message.
         tracer = getattr(tb.obs, "tracer", None)
         if tracer is not None:
             state["trace_tail"] = list(tracer.events[-TRACE_TAIL:])
@@ -349,229 +348,3 @@ def chaos_point(
         result["connections"] = connections
     return result
 
-
-def _grid_point(point: tuple) -> dict:
-    """Picklable grid runner: ``(workload, seed, duration, heavy, connections, storm)``."""
-    workload, seed, duration, heavy, connections, storm = point
-    return chaos_point(
-        workload=workload,
-        seed=seed,
-        duration=duration,
-        heavy=heavy,
-        connections=connections,
-        storm=storm,
-    )
-
-
-def _point_key(p: tuple) -> str:
-    tag = ":heavy" if p[3] else (":storm" if p[5] else "")
-    return f"{p[0]}:seed={p[1]}{tag}"
-
-
-def run_chaos(
-    seeds: int = 10,
-    workloads: tuple = ("tls", "nvme"),
-    duration: float = 15e-3,
-    heavy: bool = True,
-    base_seed: int = 1,
-    workers: Optional[int] = None,
-    connections: int = 1,
-    storm: bool = True,
-    max_seconds: Optional[float] = None,
-) -> dict:
-    """The full soak; returns a JSON-friendly report.
-
-    ``workers`` fans the scenario grid out over processes (default: the
-    ``REPRO_EXEC_WORKERS`` environment knob; 1 = the serial path).  The
-    report is keyed and ordered by scenario, so any worker count yields
-    byte-identical output.
-
-    ``max_seconds`` is a *wall-clock* deadline for the whole soak (CI's
-    wedge detector).  The grid is then run in worker-sized batches; once
-    the deadline passes, remaining points are abandoned and the report
-    comes back with ``deadline_exceeded: true``, ``ok: false``, and the
-    partial runs completed so far — a wedged soak fails loudly instead of
-    hanging the pipeline.  Completed runs are unaffected (the batches are
-    the same points in the same order), so a run that finishes in time is
-    byte-identical to one with no deadline.
-    """
-    from repro.exec import run_grid
-    from repro.exec.engine import default_workers
-
-    points = [
-        (name, seed, duration, False, connections, False)
-        for seed in range(base_seed, base_seed + seeds)
-        for name in workloads
-    ]
-    if heavy:
-        points.extend((name, HEAVY_SEED, duration, True, connections, False) for name in workloads)
-    if storm:
-        points.extend(
-            (name, RESET_STORM_SEED, duration, False, connections, True) for name in workloads
-        )
-
-    deadline = None
-    if max_seconds is not None:
-        deadline = time.monotonic() + max_seconds  # sim: noqa[SIM001]
-    runs: list = []
-    deadline_exceeded = False
-    if deadline is None:
-        runs = run_grid(points, _grid_point, workers=workers, key=_point_key)
-    else:
-        batch = max(1, workers if workers is not None else default_workers())
-        for start in range(0, len(points), batch):
-            if time.monotonic() >= deadline:  # sim: noqa[SIM001]
-                deadline_exceeded = True
-                break
-            runs.extend(
-                run_grid(points[start : start + batch], _grid_point, workers=workers, key=_point_key)
-            )
-
-    totals = {
-        "runs": len(runs),
-        "scheduled": len(points),
-        "verified": sum(r["verified"] for r in runs),
-        "mismatches": sum(r["mismatches"] for r in runs),
-        "detected_errors": sum(r["detected_errors"] for r in runs),
-        "sanitizer_violations": sum(r["sanitizer_violations"] for r in runs),
-        "auto_disabled": sum(r["auto_disabled"] for r in runs),
-        "nic_resets": sum(r.get("lifecycle", {}).get("resets", 0) for r in runs),
-    }
-    return {
-        "totals": totals,
-        "ok": (
-            totals["mismatches"] == 0
-            and totals["sanitizer_violations"] == 0
-            and not deadline_exceeded
-        ),
-        "deadline_exceeded": deadline_exceeded,
-        "runs": runs,
-    }
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faults.chaos", description=__doc__.splitlines()[0]
-    )
-    parser.add_argument("--seeds", type=int, default=10, help="seeds per workload (default 10)")
-    parser.add_argument("--base-seed", type=int, default=1, help="first seed (default 1)")
-    parser.add_argument(
-        "--workloads", default="tls,nvme", help="comma-separated subset of: tls,nvme"
-    )
-    parser.add_argument(
-        "--duration", type=float, default=15e-3, help="simulated seconds per run (default 15e-3)"
-    )
-    parser.add_argument(
-        "--no-heavy", action="store_true", help="skip the deterministic auto-disable scenario"
-    )
-    parser.add_argument(
-        "--no-storm", action="store_true", help="skip the deterministic NIC reset-storm scenario"
-    )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="wall-clock deadline for the whole soak; on breach the run "
-        "fails loudly with a partial report (CI passes this by default "
-        "so a wedged soak cannot hang the pipeline)",
-    )
-    parser.add_argument(
-        "--crash-report",
-        metavar="PATH",
-        help="on failure, write a crash-report JSON (lifecycle counters + "
-        "last-N event trace of each failing run) for the CI artifact",
-    )
-    parser.add_argument(
-        "--connections",
-        type=int,
-        default=1,
-        help="concurrent TLS connections per soak point (default 1; the "
-        "nightly scale-soak lane elevates this)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel worker processes (default: $REPRO_EXEC_WORKERS or 1)",
-    )
-    parser.add_argument("--json", metavar="PATH", help="write the full report as JSON")
-    args = parser.parse_args(argv)
-    workloads = tuple(w for w in args.workloads.split(",") if w)
-    unknown = [w for w in workloads if w not in _WORKLOADS]
-    if unknown:
-        parser.error(f"unknown workloads: {', '.join(unknown)}")
-
-    report = run_chaos(
-        seeds=args.seeds,
-        workloads=workloads,
-        duration=args.duration,
-        heavy=not args.no_heavy,
-        base_seed=args.base_seed,
-        workers=args.workers,
-        connections=args.connections,
-        storm=not args.no_storm,
-        max_seconds=args.max_seconds,
-    )
-    for run in report["runs"]:
-        if run.get("heavy"):
-            tag = "HEAVY"
-        elif run.get("storm"):
-            tag = "STORM"
-        else:
-            tag = f"seed={run['seed']}"
-        resets = run.get("lifecycle", {}).get("resets", 0)
-        print(
-            f"[{run['workload']:>4} {tag:>8}] verified={run['verified']:<5} "
-            f"mismatches={run['mismatches']} detected={run['detected_errors']} "
-            f"resync(req/retry/fail)={run['resync_requests']}/{run['resync_retries']}"
-            f"/{run['resync_failures']} auto_disabled={run['auto_disabled']} "
-            f"nic_resets={resets} sanitizer={run['sanitizer_violations']}"
-        )
-    totals = report["totals"]
-    if report["deadline_exceeded"]:
-        print(
-            f"!! wall-clock deadline ({args.max_seconds}s) exceeded: "
-            f"{totals['runs']}/{totals['scheduled']} scenarios completed; "
-            "partial report follows"
-        )
-    print(
-        f"== {totals['runs']} runs: verified={totals['verified']} "
-        f"mismatches={totals['mismatches']} detected={totals['detected_errors']} "
-        f"auto_disabled={totals['auto_disabled']} nic_resets={totals['nic_resets']} "
-        f"sanitizer_violations={totals['sanitizer_violations']} "
-        f"-> {'OK' if report['ok'] else 'FAIL'}"
-    )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.crash_report and not report["ok"]:
-        crash = {
-            "totals": totals,
-            "deadline_exceeded": report["deadline_exceeded"],
-            "failing_runs": [
-                {
-                    "workload": run["workload"],
-                    "seed": run["seed"],
-                    "heavy": run.get("heavy", False),
-                    "storm": run.get("storm", False),
-                    "mismatches": run["mismatches"],
-                    "sanitizer_violations": run["sanitizer_violations"],
-                    "detected_errors": run["detected_errors"],
-                    "lifecycle": run.get("lifecycle"),
-                    "trace_tail": run.get("trace_tail", []),
-                }
-                for run in report["runs"]
-                if run["mismatches"] or run["sanitizer_violations"]
-            ],
-        }
-        with open(args.crash_report, "w") as fh:
-            json.dump(crash, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"crash report written to {args.crash_report}")
-    return 0 if report["ok"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,7 +8,6 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
-import repro.crypto.crc as crc_module
 from repro.crypto.crc import (
     _STEP,
     _TABLE_C,
@@ -16,7 +15,6 @@ from repro.crypto.crc import (
     Crc32c,
     FastCrc,
     _crc_bytewise,
-    _odd_bytes,
     crc32,
     crc32c,
     get_digest,
@@ -128,19 +126,6 @@ class TestBitMatrixProperty:
             assert crc32c(data[:n], crc) == _crc_bytewise(_TABLE_C, data[:n], crc), n
         expected = _crc_bytewise(_TABLE_C, data, crc)
         assert crc32c(data, crc) == crc32c(memoryview(b"x" + data)[1:], crc) == expected
-
-    def test_parity_fallback_path_matches_reference(self, monkeypatch):
-        # The pre-3.10 popcount stand-in, driven through the one CRC path.
-        monkeypatch.setattr(crc_module, "_popcount", _odd_bytes)
-        rng = random.Random(39)
-        for n in (0, 1, 3, 4, 5, 63, 1448, _STEP + 1):
-            data = rng.randbytes(n)
-            crc = rng.getrandbits(32)
-            assert crc32c(data, crc) == _crc_bytewise(_TABLE_C, data, crc), n
-
-    @given(v=st.one_of(st.integers(min_value=0), st.integers(min_value=0, max_value=1 << 20000)))
-    def test_parity_fallback_matches_bin_count(self, v):
-        assert _odd_bytes(v) & 1 == bin(v).count("1") & 1
 
 
 class TestFastCrc:
