@@ -11,7 +11,6 @@ Public API quick map:
   zero-copy placement offloads (§5.1); pass a TlsConfig for the
   combined NVMe-TLS offload (§5.3).
 - :mod:`repro.experiments` — one runner per evaluation figure/table.
-- ``python -m repro`` — the CLI for individual experiments.
 
 See DESIGN.md for the full system inventory.
 """

@@ -9,7 +9,7 @@ class of bug the paper's offload correctness argument (monotonic
 ``sq.sub``, ``sq.wrap`` and the ``sq.lt/le/gt/ge`` comparisons.
 
 Deliberately out of scope: augmented increments (``x_seq += 1``) —
-those are 64-bit record counters (TLS/DTLS record sequence numbers)
+those are 64-bit record counters (TLS record sequence numbers)
 that must *not* wrap at 2^32 — and 32-bit word masks in the crypto
 primitives, which never touch sequence names.
 """

@@ -53,8 +53,7 @@ class NicDriver:
 
     def __init__(self, nic):
         # Local import: repro.nic's package init pulls in this module,
-        # so a top-level import would be circular (same idiom as the
-        # DatagramEngine import in repro.nic.nic).
+        # so a top-level import would be circular.
         from repro.nic.flow_table import FlowTable
 
         self.nic = nic
@@ -63,8 +62,6 @@ class NicDriver:
         # accounting, sized for datacenter flow counts.
         self.tx_contexts = FlowTable()
         self.rx_contexts = FlowTable()
-        self.dgram_tx_contexts: dict[FlowKey, object] = {}
-        self.dgram_rx_contexts: dict[FlowKey, object] = {}
         # Ablation knob: extra delay before the L5P sees a speculation
         # request (models slower driver/firmware paths).
         self.resync_delay_s = 0.0
@@ -219,23 +216,6 @@ class NicDriver:
     # ------------------------------------------------------------------
     # driver-internal helpers used by the engines
     # ------------------------------------------------------------------
-    def l5o_create_datagram(self, flow: FlowKey, adapter, static_state, direction: Direction):
-        """Install a datagram (UDP) offload context — §7's trivial case:
-        static state only, no sequence tracking, no recovery interface."""
-        from repro.core.datagram import DatagramContext
-
-        ctx = DatagramContext(next(self._ids), flow, adapter, static_state)
-        if direction == Direction.TX:
-            self.dgram_tx_contexts[flow] = ctx
-        else:
-            self.dgram_rx_contexts[flow] = ctx
-        self.nic.pcie.count("descriptor", 64)
-        return ctx
-
-    def l5o_destroy_datagram(self, ctx) -> None:
-        self.dgram_tx_contexts.pop(ctx.flow, None)
-        self.dgram_rx_contexts.pop(ctx.flow, None)
-
     def lookup_tx(self, ctx_id: Optional[int]) -> Optional[HwContext]:
         if ctx_id is None:
             return None
@@ -438,10 +418,6 @@ class NicDriver:
         tick so the recovering cache is not thundering-herded."""
         self._reattach_queue = deque(requests)
         self._reattach_profile = profile
-        # Datagram offloads (§7) are static-state-only: the driver
-        # re-writes them directly, one descriptor each, no upcall.
-        for _ in range(len(self.dgram_tx_contexts) + len(self.dgram_rx_contexts)):
-            self.nic.pcie.count("descriptor", 64)
         self._reattach_tick()
 
     def _reattach_tick(self) -> None:

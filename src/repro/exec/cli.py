@@ -16,6 +16,9 @@ Registered experiments::
     scale   repro.experiments.scalability.run_scale_point  (fig 19)
     mix     repro.experiments.scale_mix.run_mix_point (fig 19 XL)
     nginx   repro.experiments.nginx_bench.run_nginx   (figs 12-14)
+    fio     repro.experiments.fio_cycles.run_fio_point  (fig 10)
+    rof     repro.experiments.rof_bench.run_rof       (fig 15)
+    table1  repro.cpu.accel.table1                    (table 1)
     chaos   repro.faults.chaos.chaos_point            (fault soaks)
     l5p     repro.experiments.l5p_plugins.run_l5p_point  (plugin protocols)
 """
@@ -37,6 +40,9 @@ EXPERIMENTS = {
     "scale": "repro.experiments.scalability:run_scale_point",
     "mix": "repro.experiments.scale_mix:run_mix_point",
     "nginx": "repro.experiments.nginx_bench:run_nginx",
+    "fio": "repro.experiments.fio_cycles:run_fio_point",
+    "rof": "repro.experiments.rof_bench:run_rof",
+    "table1": "repro.cpu.accel:table1",
     "chaos": "repro.faults.chaos:chaos_point",
     "l5p": "repro.experiments.l5p_plugins:run_l5p_point",
 }

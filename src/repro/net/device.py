@@ -34,11 +34,6 @@ class PassthroughNic:
         del conn
         self.output(pkt)
 
-    def transmit_datagram(self, flow, pkt: Packet) -> None:
-        """Send one UDP datagram (offload NICs may transform it)."""
-        del flow
-        self.output(pkt)
-
     def output(self, pkt: Packet) -> None:
         if self._port is None:
             raise RuntimeError("NIC not attached to a link")

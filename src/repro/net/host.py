@@ -56,9 +56,6 @@ class Host:
         self.cpu = Cpu(sim, model, cores=cores)
         self.llc = LlcModel(model)
         self.tcp = TcpStack(self)
-        from repro.udp.stack import UdpStack  # local import: udp builds on net
-
-        self.udp = UdpStack(self)
         self.tcp_send_buffer = tcp_send_buffer
         self.tcp_recv_window = tcp_recv_window
         self.tcp_congestion_control = tcp_congestion_control
@@ -126,10 +123,7 @@ class Host:
                 core.charge(self.model.cycles_rx_pkt, "stack")
             else:
                 core.charge(self.model.cycles_ack_rx, "stack")
-            if pkt.ipproto == "udp":
-                self.udp.handle_packet(pkt)
-            else:
-                self.tcp.handle_packet(pkt)
+            self.tcp.handle_packet(pkt)
         self.rx_batch_sizes.append(batch)
         obs = self.sim.obs
         if obs is not None:

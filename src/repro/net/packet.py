@@ -90,7 +90,6 @@ class Packet:
     rst: bool = False
     wnd: int = 1 << 30
     sack: tuple = ()  # SACK blocks: ((start, end), ...) above the ack
-    ipproto: str = "tcp"  # "tcp" or "udp" (§7's datagram L5Ps)
     # Driver/NIC sidecar (not on the wire):
     meta: SkbMeta = field(default_factory=SkbMeta)
     tx_ctx_id: Optional[int] = None  # offload context tag from the L5P
@@ -108,7 +107,6 @@ class Packet:
             rst=self.rst,
             wnd=self.wnd,
             sack=self.sack,
-            ipproto=self.ipproto,
             meta=self.meta.copy(),
             tx_ctx_id=self.tx_ctx_id,
         )

@@ -33,9 +33,6 @@ class OffloadNic(PassthroughNic):
         self.driver = NicDriver(self)
         self.tx_engine = TxEngine(self)
         self.rx_engine = RxEngine(self)
-        from repro.core.datagram import DatagramEngine
-
-        self.datagram_engine = DatagramEngine(self)
         self.contexts_installed = 0
         self.obs = None  # repro.obs handle, wired at bind()
         # Epoch-batched per-packet counters (repro.obs cells); None until
@@ -117,15 +114,6 @@ class OffloadNic(PassthroughNic):
                 san.tx_packet(ctx, pkt.seq, in_len, len(pkt.payload))
         self.output(pkt)
 
-    def transmit_datagram(self, flow, pkt: Packet) -> None:
-        ctx = self.driver.dgram_tx_contexts.get(flow) if self._offloads_online else None
-        if ctx is not None:
-            self.datagram_engine.process_tx(ctx, pkt)
-        self.output(pkt)
-
-    def cache_datagram(self, ctx) -> None:
-        self.cache.access(ctx)
-
     def receive(self, pkt: Packet) -> None:
         self.rx_packets += 1
         cell = self._rx_pkts_cell
@@ -134,29 +122,23 @@ class OffloadNic(PassthroughNic):
         if not self._offloads_online:
             # NIC not RUNNING: nothing is decrypted/placed; the packet
             # passes through untouched to the L5P's software path.
-            if pkt.ipproto != "udp":
-                self.lifecycle.receive_offline(pkt)
+            self.lifecycle.receive_offline(pkt)
             if self.host is None:
                 raise RuntimeError("NIC not bound to a host")
             self.host.deliver(pkt)
             return
-        if pkt.ipproto == "udp":
-            ctx = self.driver.dgram_rx_contexts.get(pkt.flow)
-            if ctx is not None:
-                self.datagram_engine.process_rx(ctx, pkt)
-        else:
-            ctx = self.driver.lookup_rx(pkt.flow)
-            if ctx is not None:
-                san = _sanitizer_active()
-                if san is None:
-                    self.rx_engine.process(ctx, pkt)
-                else:
-                    entry_state = ctx.rx_state
-                    entry_expected = ctx.expected_seq
-                    entry_offloaded = pkt.meta.offloaded
-                    in_len = len(pkt.payload)
-                    self.rx_engine.process(ctx, pkt)
-                    san.rx_packet(ctx, pkt, entry_state, entry_expected, in_len, entry_offloaded)
+        ctx = self.driver.lookup_rx(pkt.flow)
+        if ctx is not None:
+            san = _sanitizer_active()
+            if san is None:
+                self.rx_engine.process(ctx, pkt)
+            else:
+                entry_state = ctx.rx_state
+                entry_expected = ctx.expected_seq
+                entry_offloaded = pkt.meta.offloaded
+                in_len = len(pkt.payload)
+                self.rx_engine.process(ctx, pkt)
+                san.rx_packet(ctx, pkt, entry_state, entry_expected, in_len, entry_offloaded)
         if self.host is None:
             raise RuntimeError("NIC not bound to a host")
         self.host.deliver(pkt)

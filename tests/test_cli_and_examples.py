@@ -1,5 +1,7 @@
-"""Smoke tests for the CLI entry point and the runnable examples."""
+"""Smoke tests for the experiment CLI (``python -m repro.exec``) and the
+runnable examples."""
 
+import json
 import runpy
 import subprocess
 import sys
@@ -7,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec.cli import EXPERIMENTS, _resolve, build_points, parse_axis
+
 REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, "-m", "repro.exec", *args],
         capture_output=True,
         text=True,
         timeout=240,
@@ -20,29 +24,57 @@ def run_cli(*args):
     )
 
 
+def only_point(path: Path) -> dict:
+    """The single point's result from a ``--json`` file."""
+    (result,) = json.loads(path.read_text())["points"].values()
+    return result
+
+
 class TestCli:
     def test_list(self):
-        out = run_cli("list")
+        out = run_cli("--help")
         assert out.returncode == 0
-        assert "experiments:" in out.stdout
+        for name in EXPERIMENTS:
+            assert name in out.stdout
 
-    def test_table1(self):
-        out = run_cli("table1")
-        assert out.returncode == 0
-        assert "aes-128-gcm" in out.stdout
+    def test_every_experiment_resolves(self):
+        for name in EXPERIMENTS:
+            assert callable(_resolve(name)), name
 
-    def test_fio(self):
-        out = run_cli("fio", "--block-size", "64K", "--iodepth", "8")
-        assert out.returncode == 0
-        assert "IOPS" in out.stdout
+    def test_axes_and_points(self):
+        assert parse_axis("loss=0,0.01,x,true") == ("loss", [0, 0.01, "x", True])
+        points = build_points([parse_axis("a=1,2"), parse_axis("b=x,y")], {"c": 3})
+        assert points[0] == (("a", 1), ("b", "x"), ("c", 3))
+        assert [dict(p)["b"] for p in points] == ["x", "y", "x", "y"]
+        with pytest.raises(ValueError):
+            build_points([parse_axis("a=1")], {"a": 2})
+        with pytest.raises(ValueError):
+            parse_axis("a=")
 
-    def test_iperf(self):
-        out = run_cli("iperf", "--mode", "tls-offload", "--direction", "rx", "--streams", "4")
-        assert out.returncode == 0
-        assert "goodput" in out.stdout
+    def test_table1(self, tmp_path):
+        out = run_cli("table1", "--json", str(tmp_path / "t1.json"))
+        assert out.returncode == 0, out.stderr
+        assert "aes-128-gcm" in only_point(tmp_path / "t1.json")
+
+    def test_fio(self, tmp_path):
+        out = run_cli("fio", "--fix", "block_size=65536", "--fix", "iodepth=8", "--json", str(tmp_path / "fio.json"))
+        assert out.returncode == 0, out.stderr
+        assert "block_size=65536" in out.stdout
+        assert only_point(tmp_path / "fio.json")["iops"] > 0
+
+    def test_iperf(self, tmp_path):
+        out = run_cli(
+            "iperf",
+            "--fix", "mode=tls-offload",
+            "--fix", "direction=rx",
+            "--fix", "streams=4",
+            "--json", str(tmp_path / "iperf.json"),
+        )  # fmt: skip
+        assert out.returncode == 0, out.stderr
+        assert only_point(tmp_path / "iperf.json")["goodput_gbps"] > 0
 
     def test_bad_variant_rejected(self):
-        out = run_cli("nginx", "--variant", "spdy")
+        out = run_cli("nginx", "--fix", "variant=spdy")
         assert out.returncode != 0
 
 

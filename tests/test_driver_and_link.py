@@ -75,23 +75,6 @@ class TestDriverLifecycle:
         sim.run(until=2e-3)
         assert ops.resync_requests == [4242]
 
-    def test_datagram_context_registries(self):
-        sim, nic = make_nic()
-        flow = FlowKey("h", 9, "peer", 10)
-        from repro.core.datagram import DatagramAdapter
-
-        class _Nop(DatagramAdapter):
-            def tx_transform(self, state, payload):
-                return None
-
-            def rx_transform(self, state, payload):
-                return None
-
-        ctx = nic.driver.l5o_create_datagram(flow, _Nop(), None, Direction.TX)
-        assert nic.driver.dgram_tx_contexts[flow] is ctx
-        nic.driver.l5o_destroy_datagram(ctx)
-        assert flow not in nic.driver.dgram_tx_contexts
-
 
 class TestLinkFaults:
     def _port(self, **cfg):
